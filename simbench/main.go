@@ -2,7 +2,7 @@
 // for a fixed wall-clock budget, checks every output, and prints its metrics
 // as one JSON object on the last line of standard output.
 //
-//	go run . -workload paper-grid -seed 1 -seconds 20 -trace 0
+//	go run . -workload paper-grid -seed 1 -seconds 25 -trace 0
 //
 // With -trace 0 it reports the end-to-end metrics (host throughput, set-up
 // time, peak memory); with -trace 1 the per-layer ledger. README.md lists
@@ -37,11 +37,12 @@ const (
 	// minPasses is the fewest timed passes a run makes, so the reported
 	// median always has a middle.
 	minPasses = 3
-	// setupReps and setupSeconds bound from below the cold offline phases
-	// timed before the first pass; setupChunkSeconds those before each
+	// A set-up chunk repeats the cold offline phase for setupChunkSeconds,
+	// at least setupChunkReps times, and keeps its fastest repetition.
+	// setupChunks chunks run before the first pass, and one before each
 	// later pass of an untraced run.
-	setupReps         = 9
-	setupSeconds      = 0.5
+	setupChunks       = 5
+	setupChunkReps    = 3
 	setupChunkSeconds = 0.1
 	// profileHz is the CPU-profile sampling rate of a traced run.
 	profileHz = 500
@@ -70,7 +71,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("simbench", flag.ContinueOnError)
 	name := fs.String("workload", "", "workload name")
 	seed := fs.Uint64("seed", defaultSeed, "workload seed (RunConfig.Seed)")
-	seconds := fs.Float64("seconds", 20, "timed-pass budget, wall seconds")
+	seconds := fs.Float64("seconds", 25, "timed-pass budget, wall seconds")
 	traced := fs.Int("trace", 0, "0: end-to-end metrics; 1: per-layer metrics")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -99,22 +100,34 @@ func run(args []string) error {
 		norm[i] = c
 	}
 
-	// Set-up: repeated cold offline phases, each on a fresh cache. The most
-	// recent one's warmed cache serves the next pass.
+	// Set-up: chunks of repeated cold offline phases, each on a fresh cache.
+	// The host switches between a fast and a slow state every fraction of a
+	// second, and set-up takes up to twice as long in the slow one. A
+	// chunk's fastest repetition is its time in the fast state, so the
+	// median over chunks does not depend on how the run's time happened to
+	// split between the states. The most recent warmed cache serves the
+	// next pass.
 	var setups []setupTimes
 	var cache *memo.Cache
-	setUp := func(reps int, budget float64) error {
-		for start := time.Now(); reps > 0 || time.Since(start).Seconds() < budget; reps-- {
+	setUp := func() error {
+		var best setupTimes
+		for reps, start := 0, time.Now(); reps < setupChunkReps || time.Since(start).Seconds() < setupChunkSeconds; reps++ {
 			s, c, err := coldSetup(norm)
 			if err != nil {
 				return fmt.Errorf("set-up: %w", err)
 			}
-			setups, cache = append(setups, s), c
+			if reps == 0 || s.total < best.total {
+				best = s
+			}
+			cache = c
 		}
+		setups = append(setups, best)
 		return nil
 	}
-	if err := setUp(setupReps, setupSeconds); err != nil {
-		return err
+	for range setupChunks {
+		if err := setUp(); err != nil {
+			return err
+		}
 	}
 
 	// Timed passes. In a traced run they execute under the CPU profiler, whose
@@ -130,7 +143,11 @@ func run(args []string) error {
 		}
 	}
 	ck := checker{w: w, seed: *seed}
-	var walls, peaks []float64
+	var walls, scaled, peaks []float64
+	var clock hostClock
+	if *traced == 0 {
+		clock.ref(refFirst)
+	}
 	var first []sim.Result
 	var rt0 runtimeSample
 	for start := time.Now(); len(walls) < minPasses || time.Since(start).Seconds() < *seconds; {
@@ -138,7 +155,7 @@ func run(args []string) error {
 			// Set-up samples spread over the whole run, not one burst, so
 			// its median sees the same host as the passes. A traced run
 			// keeps them out of the CPU profile.
-			if err := setUp(1, setupChunkSeconds); err != nil {
+			if err := setUp(); err != nil {
 				return err
 			}
 		}
@@ -151,9 +168,17 @@ func run(args []string) error {
 		if err := resetPeakRSS(); err != nil {
 			return err
 		}
-		t := time.Now()
-		results, errs := runPass(w, cfgs, *seed, cache)
-		walls = append(walls, time.Since(t).Seconds())
+		var wall, sc float64
+		results, errs := runPass(w, cfgs, *seed, cache, func(f func()) {
+			t := time.Now()
+			f()
+			d := time.Since(t).Seconds()
+			wall += d
+			if *traced == 0 {
+				sc += clock.segment(d)
+			}
+		})
+		walls, scaled = append(walls, wall), append(scaled, sc)
 		rss, err := peakRSSMB()
 		if err != nil {
 			return err
@@ -178,14 +203,25 @@ func run(args []string) error {
 		simSec += c.HorizonSec
 	}
 	fmt.Printf("workload: %s seed=%d runs/pass=%d passes=%d pass_s=%v peak_mb=%v\n", w.name, *seed, len(cfgs), len(walls), roundAll(walls), roundAll(peaks))
+	setup := medianOf(setups, func(s setupTimes) time.Duration { return s.total }).Seconds()
+	if *traced == 0 {
+		blocks := make([]float64, len(clock.refs))
+		for i, b := range clock.refs {
+			blocks[i] = median(b)
+		}
+		fmt.Printf("reference: block_median_s=%v unscaled_sim_s_per_host_s=%v unscaled_setup_s=%v\n", roundAll(blocks), simSec/untraced, setup)
+	}
 	fmt.Printf("digest: %s\n", ck.digest)
 	fmt.Printf("headline: %s\n", headline(w, norm, first))
 
 	rec := record{Metrics: map[string]metric{}}
 	put := func(name string, v float64, unit string) { rec.Metrics[name] = metric{v, unit} }
 	if *traced == 0 {
-		put("sim_s_per_host_s", simSec/untraced, "s/s")
-		put("setup_s", medianOf(setups, func(s setupTimes) time.Duration { return s.total }).Seconds(), "s")
+		// Times are at the reference speed (hostClock): each segment of a
+		// pass over the reference on either side of it, set-up over the
+		// run's median walk.
+		put("sim_s_per_host_s", simSec/median(scaled), "s/s")
+		put("setup_s", setup/median(slices.Concat(clock.refs...))*refSeconds, "s")
 		put("peak_rss_mb", median(peaks), "MB")
 	} else {
 		tr, tracedWall := tracedPass(w, norm, cfgs, cache, first, &ck)
@@ -222,7 +258,7 @@ func tracedPass(w workloadDef, norm, cfgs []sim.RunConfig, cache *memo.Cache, fi
 	tr := &tracer{}
 	start := time.Now()
 	if w.fastForward {
-		results, errs := runPass(w, cfgs, ck.seed, cache)
+		results, errs := runPass(w, cfgs, ck.seed, cache, func(f func()) { f() })
 		wall := time.Since(start)
 		ck.pass(results, errs)
 		return tr, wall

@@ -165,8 +165,9 @@ func fleetFailover(seed uint64) sim.RunConfig {
 }
 
 // runPass executes one untraced pass over a warmed offline cache and returns
-// one result (or error) per run, in pass order.
-func runPass(w workloadDef, cfgs []sim.RunConfig, seed uint64, cache *memo.Cache) ([]sim.Result, []error) {
+// one result (or error) per run, in pass order. Every segment of the pass,
+// one runner call or one session run, executes inside timed.
+func runPass(w workloadDef, cfgs []sim.RunConfig, seed uint64, cache *memo.Cache, timed func(func())) ([]sim.Result, []error) {
 	results := make([]sim.Result, len(cfgs))
 	errs := make([]error, len(cfgs))
 	if w.viaRunner {
@@ -179,7 +180,8 @@ func runPass(w workloadDef, cfgs []sim.RunConfig, seed uint64, cache *memo.Cache
 		}
 		i := 0
 		for _, s := range specs {
-			rs, _ := exp.Run(context.Background(), s, runner.Options{Jobs: 1, Cache: cache})
+			var rs *exp.ResultSet
+			timed(func() { rs, _ = exp.Run(context.Background(), s, runner.Options{Jobs: 1, Cache: cache}) })
 			if rs == nil {
 				// Compile failed: paperGridRuns compiled the same
 				// specs, so this cannot happen at a valid seed.
@@ -193,7 +195,7 @@ func runPass(w workloadDef, cfgs []sim.RunConfig, seed uint64, cache *memo.Cache
 		return results, errs
 	}
 	for i, cfg := range cfgs {
-		results[i], errs[i] = sim.NewSession(cache).Run(cfg)
+		timed(func() { results[i], errs[i] = sim.NewSession(cache).Run(cfg) })
 	}
 	return results, errs
 }
