@@ -12,6 +12,7 @@
 package sgprs_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -259,49 +260,53 @@ func BenchmarkAblationLateDrop(b *testing.B) {
 
 // BenchmarkScenarioRegeneration compares regeneration of a full paper
 // scenario (the 4-variant × task-count grid behind Figures 3a/3b) across the
-// execution strategies. Outputs are bit-identical across every case (the
-// runner's determinism tests and the sim cache-equality tests pin this);
-// only wall-clock differs:
+// execution strategies, every case through the experiment runner. Outputs
+// are bit-identical across every case (the golden-digest corpus runs its
+// cells cached, uncached, and at several worker counts); only wall-clock
+// differs:
 //
 //   - uncached-offline: the reference path — every run rebuilds the
 //     calibrated graph and profiles each task from scratch.
 //   - cold-offline: a fresh offline cache per iteration, so each distinct
 //     shape is profiled once per scenario (intra-run and intra-sweep reuse).
 //   - warm-offline: the steady-state path (shared cache, all hits) — what
-//     sim.RunScenario and the CLIs see after their first run.
-//   - parallel-jobsN: warm cache through the experiment runner; on a
-//     multi-core host wall-clock approaches 1/min(workers, cores, 12 jobs),
-//     on a single core it matches sequential to within pool overhead.
+//     RunScenario and the CLIs see after their first run.
+//   - the three cases above run at one worker; parallel-jobsN runs the
+//     process-wide warm cache at N workers. On a multi-core host wall-clock
+//     approaches 1/min(workers, cores, 12 jobs); on a single core it
+//     matches one worker to within pool overhead.
 func BenchmarkScenarioRegeneration(b *testing.B) {
 	counts := []int{8, 16, 24}
 	const horizon = 2
+	spec, err := sgprs.ScenarioExperiment(1, counts, horizon, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	run := func(b *testing.B, opt sgprs.SweepOptions) {
+		b.Helper()
+		if _, err := sgprs.RunExperiment(context.Background(), spec, opt); err != nil {
+			b.Fatal(err)
+		}
+	}
 	b.Run("uncached-offline", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunScenarioWith(1, counts, horizon, 1, nil); err != nil {
-				b.Fatal(err)
-			}
+			run(b, sgprs.SweepOptions{Jobs: 1, NoOfflineCache: true})
 		}
 	})
 	b.Run("cold-offline", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunScenarioWith(1, counts, horizon, 1, memo.New()); err != nil {
-				b.Fatal(err)
-			}
+			run(b, sgprs.SweepOptions{Jobs: 1, Cache: memo.New()})
 		}
 	})
 	b.Run("warm-offline", func(b *testing.B) {
 		b.ReportAllocs()
-		cache := memo.New()
-		if _, err := sim.RunScenarioWith(1, counts, horizon, 1, cache); err != nil {
-			b.Fatal(err) // populate outside the timed loop
-		}
+		warm := sgprs.SweepOptions{Jobs: 1, Cache: memo.New()}
+		run(b, warm) // populate outside the timed loop
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := sim.RunScenarioWith(1, counts, horizon, 1, cache); err != nil {
-				b.Fatal(err)
-			}
+			run(b, warm)
 		}
 	})
 	workers := []int{1, 2, 4}

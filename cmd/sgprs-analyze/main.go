@@ -135,8 +135,7 @@ func main() {
 	fmt.Println("\nverification sweep (4 s simulated per point):")
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	counts := []int{pivot - 2, pivot, pivot + 2}
-	series, runErr := runner.SweepSeries(ctx, sim.RunConfig{
+	rs, runErr := exp.Run(ctx, exp.Series(sim.RunConfig{
 		Kind:       sim.KindSGPRS,
 		Name:       "sgprs",
 		ContextSMs: pool,
@@ -145,13 +144,16 @@ func main() {
 		Stages:     *stages,
 		HorizonSec: 4,
 		Faults:     fc,
-	}, counts, runner.Options{Jobs: *jobs, NoOfflineCache: *noCache})
+	}, verifyCounts(pivot)), runner.Options{Jobs: *jobs, NoOfflineCache: *noCache})
+	if rs == nil {
+		log.Fatal(runErr)
+	}
 	// A failed point is reported with its coordinates; finished points
 	// still print.
 	if runErr != nil {
 		log.Print(runErr)
 	}
-	for _, p := range series {
+	for _, p := range rs.Series()["sgprs"] {
 		fmt.Printf("  %2d tasks: %6.1f fps, %d misses",
 			p.Tasks, p.Summary.TotalFPS, p.Summary.Missed)
 		if ff := p.FastForward; ff.CyclesSkipped > 0 {
@@ -167,6 +169,20 @@ func main() {
 	if runErr != nil {
 		os.Exit(1)
 	}
+}
+
+// verifyCounts picks the verification sweep's task counts around the
+// predicted pivot — two below, the pivot, two above — keeping only counts
+// of at least one task: a light analysis can predict a pivot of 1 or 2,
+// and a count below one is not a run.
+func verifyCounts(pivot int) []int {
+	var counts []int
+	for _, n := range []int{pivot - 2, pivot, pivot + 2} {
+		if n >= 1 {
+			counts = append(counts, n)
+		}
+	}
+	return counts
 }
 
 // fromExperiment resolves the analysis inputs from a registered

@@ -26,6 +26,7 @@ import (
 	"os/signal"
 	"syscall"
 
+	"sgprs/internal/exp"
 	"sgprs/internal/gpu"
 	"sgprs/internal/metrics"
 	"sgprs/internal/runner"
@@ -85,12 +86,16 @@ func main() {
 	// row shares the same profiled task shape.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	grid, order, gridErr := runner.SweepGrid(ctx, bases, counts, runner.Options{Jobs: *jobs, NoOfflineCache: *noCache})
+	rs, gridErr := exp.Run(ctx, exp.Grid(bases, counts), runner.Options{Jobs: *jobs, NoOfflineCache: *noCache})
+	if rs == nil {
+		log.Fatal(gridErr)
+	}
 	if gridErr != nil {
 		log.Print(gridErr)
 	}
+	grid := rs.Series()
 	for i, cap := range caps {
-		series := grid[order[i]]
+		series := grid[rs.Order[i]]
 		if len(series) != len(counts) { // some points failed
 			fmt.Printf("%8.1f %10s %8s %8s\n", cap, "-", "-", "-")
 			continue

@@ -9,25 +9,24 @@ import (
 	"fmt"
 	"log"
 
-	"sgprs/internal/metrics"
-	"sgprs/internal/sim"
+	"sgprs"
 )
 
 func main() {
 	log.SetFlags(0)
 	counts := []int{4, 8, 12, 14, 16, 18, 20, 22, 24, 26, 28}
-	configs := []sim.RunConfig{
-		{Kind: sim.KindNaive, Name: "naive", ContextSMs: sim.ContextPool(2, 1.0, 68)},
-		{Kind: sim.KindSGPRS, Name: "sgprs-2.0x", ContextSMs: sim.ContextPool(2, 2.0, 68)},
+	configs := []sgprs.RunConfig{
+		{Kind: sgprs.KindNaive, Name: "naive", ContextSMs: sgprs.ContextPool(2, 1.0, 68)},
+		{Kind: sgprs.KindSGPRS, Name: "sgprs-2.0x", ContextSMs: sgprs.ContextPool(2, 2.0, 68)},
 	}
 	fmt.Println("pivot search, Scenario 1 (two contexts), 30 fps ResNet18 tasks")
 	for _, base := range configs {
 		base.HorizonSec = 5
-		series, err := sim.SweepSeries(base, counts)
+		series, err := sgprs.SweepSeries(base, counts)
 		if err != nil {
 			log.Fatal(err)
 		}
-		pivot := metrics.PivotPoint(series)
+		pivot := sgprs.PivotPoint(series)
 		fmt.Printf("\n%s:\n", base.Name)
 		for _, p := range series {
 			marker := ""
@@ -38,6 +37,6 @@ func main() {
 				p.Tasks, p.Summary.TotalFPS, p.Summary.DMR, marker)
 		}
 		fmt.Printf("  pivot: %d tasks, saturation %.0f fps\n",
-			pivot, metrics.SaturationFPS(series))
+			pivot, sgprs.SaturationFPS(series))
 	}
 }

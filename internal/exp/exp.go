@@ -9,12 +9,14 @@
 // instead of new code paths.
 //
 // Determinism is inherited from the runner: a compiled job's seed is fixed
-// at compile time (SeedFixed keeps each variant's configured seed, matching
-// the sequential drivers bit-for-bit; SeedDerived decorrelates per grid
-// cell via runner.DeriveSeed), so results are bit-identical across worker
-// counts. The legacy facade entry points (RunScenario, SweepSeries,
-// SweepGrid) are thin wrappers over Specs; equivalence tests pin their
-// output to the sequential reference drivers in package sim.
+// at compile time (SeedFixed keeps each variant's configured seed;
+// SeedDerived decorrelates per grid cell via runner.DeriveSeed), so results
+// are bit-identical across worker counts. Spec → runner.Run →
+// sim.Session.Run is the repository's only sweep path; the facade's
+// RunScenario and SweepSeries are folds over its ResultSet. The
+// golden-digest corpus in testdata/golden.txt is the output oracle:
+// TestGoldenCorpus runs every cell through Run at one and four workers and
+// uncached, and requires each result's digest to match.
 package exp
 
 import (
@@ -355,7 +357,7 @@ type SeedPolicy int
 
 const (
 	// SeedFixed keeps each variant's configured seed on every grid cell —
-	// the sequential drivers' behavior, and the default.
+	// the default.
 	SeedFixed SeedPolicy = iota
 	// SeedDerived gives every grid cell a distinct seed mixed from the
 	// variant's base seed and the cell's (label, task count) via

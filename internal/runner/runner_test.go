@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"sgprs/internal/memo"
 	"sgprs/internal/sim"
 )
 
@@ -27,48 +28,75 @@ func testBase(name string) sim.RunConfig {
 	}
 }
 
-// TestScenarioMatchesSequential proves the tentpole determinism claim: for
-// both paper scenarios, parallel RunScenario output is bit-identical to the
-// sequential reference driver in package sim, regardless of worker count.
+// seriesJobs expands one base configuration over the task counts — the job
+// list exp.Series compiles to.
+func seriesJobs(base sim.RunConfig, counts []int) []Job {
+	jobs := make([]Job, len(counts))
+	for i, n := range counts {
+		jobs[i] = Job{Variant: base.Name, Tasks: n, Config: withTasks(base, n)}
+	}
+	return jobs
+}
+
+// TestScenarioMatchesSequential proves the determinism claim: for both
+// paper scenarios' variant × task-count grids, pooled results are
+// bit-identical to the same jobs run in order on one session, regardless of
+// worker count.
 func TestScenarioMatchesSequential(t *testing.T) {
 	for _, scenario := range []int{1, 2} {
-		seq, err := sim.RunScenario(scenario, testCounts, testHorizon, 1)
+		np, err := sim.ScenarioContexts(scenario)
 		if err != nil {
-			t.Fatalf("scenario %d sequential: %v", scenario, err)
+			t.Fatal(err)
 		}
-		for _, jobs := range []int{0, 1, 3, 8} {
-			par, err := RunScenario(context.Background(), scenario, testCounts, testHorizon, 1, Options{Jobs: jobs})
-			if err != nil {
-				t.Fatalf("scenario %d jobs=%d: %v", scenario, jobs, err)
+		var jobs []Job
+		for _, v := range sim.ScenarioVariants() {
+			base := testBase(v.Name)
+			base.Kind = v.Kind
+			base.ContextSMs = sim.ContextPool(np, v.OS, 68)
+			jobs = append(jobs, seriesJobs(base, testCounts)...)
+		}
+		sess := sim.NewSession(memo.Default())
+		seq := make([]sim.Result, len(jobs))
+		for i, j := range jobs {
+			if seq[i], err = sess.Run(j.Config); err != nil {
+				t.Fatalf("scenario %d %s n=%d sequential: %v", scenario, j.Variant, j.Tasks, err)
 			}
-			if !reflect.DeepEqual(seq, par) {
-				t.Errorf("scenario %d jobs=%d: parallel output differs from sequential", scenario, jobs)
+		}
+		for _, workers := range []int{0, 1, 3, 8} {
+			par := Run(context.Background(), jobs, Options{Jobs: workers})
+			if err := Err(par); err != nil {
+				t.Fatalf("scenario %d jobs=%d: %v", scenario, workers, err)
+			}
+			for i, r := range par {
+				if !reflect.DeepEqual(seq[i], r.Result) {
+					t.Errorf("scenario %d jobs=%d: %s n=%d differs from sequential",
+						scenario, workers, r.Job.Variant, r.Job.Tasks)
+				}
 			}
 		}
 	}
 }
 
-// TestSweepSeriesMatchesSequential pins the single-series driver to the
-// sequential reference as well.
+// TestSweepSeriesMatchesSequential pins a pooled series to fresh one-shot
+// runs of the same configurations: per-worker session reuse is invisible.
 func TestSweepSeriesMatchesSequential(t *testing.T) {
-	base := testBase("sgprs")
-	seq, err := sim.SweepSeries(base, testCounts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := SweepSeries(context.Background(), base, testCounts, Options{Jobs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq, par) {
-		t.Error("parallel series differs from sequential")
+	jobs := seriesJobs(testBase("sgprs"), testCounts)
+	par := Run(context.Background(), jobs, Options{Jobs: 4})
+	for i, j := range jobs {
+		want, err := sim.Run(j.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if par[i].Err != nil || !reflect.DeepEqual(want, par[i].Result) {
+			t.Errorf("n=%d: pooled result differs from a fresh run (err %v)", j.Tasks, par[i].Err)
+		}
 	}
 }
 
 // TestWorkerCountInvariance: one worker and many workers yield identical
 // full results (not just summaries).
 func TestWorkerCountInvariance(t *testing.T) {
-	jobs := SweepJobs(testBase("sgprs"), []int{1, 2, 3, 4}, Options{})
+	jobs := seriesJobs(testBase("sgprs"), []int{1, 2, 3, 4})
 	one := Run(context.Background(), jobs, Options{Jobs: 1})
 	many := Run(context.Background(), jobs, Options{Jobs: 8})
 	if !reflect.DeepEqual(one, many) {
@@ -121,24 +149,25 @@ func TestFailureAttribution(t *testing.T) {
 	}
 }
 
-// TestSweepSeriesKeepsFinishedPoints: the parallel sweep returns completed
-// points alongside the error instead of discarding them.
+// TestSweepSeriesKeepsFinishedPoints: a series whose middle point fails
+// keeps the completed points on either side of it.
 func TestSweepSeriesKeepsFinishedPoints(t *testing.T) {
-	base := testBase("sgprs")
-	counts := []int{2, 0, 4} // 0 tasks fails Normalize
-	series, err := SweepSeries(context.Background(), base, counts, Options{Jobs: 2})
-	if err == nil {
+	jobs := seriesJobs(testBase("sgprs"), []int{2, 0, 4}) // 0 tasks fails Normalize
+	results := Run(context.Background(), jobs, Options{Jobs: 2})
+	if Err(results) == nil || results[1].Err == nil {
 		t.Fatal("want error for n=0 point")
 	}
-	if len(series) != 2 || series[0].Tasks != 2 || series[1].Tasks != 4 {
-		t.Fatalf("series = %+v, want completed points n=2 and n=4", series)
+	for _, i := range []int{0, 2} {
+		if results[i].Err != nil || results[i].Result.Tasks != jobs[i].Tasks {
+			t.Errorf("point %d = %+v, want the completed n=%d result", i, results[i], jobs[i].Tasks)
+		}
 	}
 }
 
 // TestProgress: the callback is serialized, called once per job, with a
 // monotonic done count ending at total.
 func TestProgress(t *testing.T) {
-	jobs := SweepJobs(testBase("sgprs"), []int{1, 2, 3}, Options{})
+	jobs := seriesJobs(testBase("sgprs"), []int{1, 2, 3})
 	var calls int
 	last := 0
 	seen := map[int]bool{}
@@ -175,68 +204,6 @@ func TestDeriveSeed(t *testing.T) {
 	}
 }
 
-// TestDecorrelateSeeds: expansion stamps DeriveSeed per job; the default
-// keeps the base seed (the sequential contract).
-func TestDecorrelateSeeds(t *testing.T) {
-	base := testBase("sgprs")
-	plain := SweepJobs(base, testCounts, Options{})
-	for _, j := range plain {
-		if j.Config.Seed != base.Seed {
-			t.Errorf("default expansion changed seed: %d", j.Config.Seed)
-		}
-	}
-	dec := SweepJobs(base, testCounts, Options{DecorrelateSeeds: true})
-	for i, j := range dec {
-		want := DeriveSeed(base.Seed, "sgprs", testCounts[i])
-		if j.Config.Seed != want {
-			t.Errorf("decorrelated seed[%d] = %d, want %d", i, j.Config.Seed, want)
-		}
-	}
-	if dec[0].Config.Seed == dec[1].Config.Seed {
-		t.Error("decorrelated seeds collide across task counts")
-	}
-}
-
-// TestSweepGrid: a flat multi-variant fan-out groups results back into
-// per-variant series in submission order.
-func TestSweepGrid(t *testing.T) {
-	bases := []sim.RunConfig{testBase("a"), testBase("b")}
-	series, order, err := SweepGrid(context.Background(), bases, testCounts, Options{Jobs: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(order, []string{"a", "b"}) {
-		t.Errorf("order = %v", order)
-	}
-	for _, name := range order {
-		if len(series[name]) != len(testCounts) {
-			t.Errorf("series %q has %d points, want %d", name, len(series[name]), len(testCounts))
-		}
-	}
-	if !reflect.DeepEqual(series["a"], series["b"]) {
-		t.Error("identical bases produced different series")
-	}
-}
-
-// TestSweepGridEmptyCounts: an empty sweep axis yields empty series per
-// variant, not a panic (regression: order was only populated per non-empty
-// job block while the fold indexed it per base).
-func TestSweepGridEmptyCounts(t *testing.T) {
-	bases := []sim.RunConfig{testBase("a"), {Kind: sim.KindNaive}}
-	series, order, err := SweepGrid(context.Background(), bases, nil, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(order, []string{"a", "naive"}) {
-		t.Errorf("order = %v", order)
-	}
-	for _, name := range order {
-		if got, ok := series[name]; !ok || len(got) != 0 {
-			t.Errorf("series[%q] = %v, want present and empty", name, got)
-		}
-	}
-}
-
 // TestRunEmpty: a zero-job fan-out returns cleanly.
 func TestRunEmpty(t *testing.T) {
 	if got := Run(context.Background(), nil, Options{}); len(got) != 0 {
@@ -259,7 +226,7 @@ func withTasks(cfg sim.RunConfig, n int) sim.RunConfig {
 func TestCancellationSingleWorker(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	jobs := SweepJobs(testBase("sgprs"), []int{2, 3, 4, 5}, Options{})
+	jobs := seriesJobs(testBase("sgprs"), []int{2, 3, 4, 5})
 	var streamed int
 	results := Run(ctx, jobs, Options{Jobs: 1, Progress: func(done, total int, r JobResult) {
 		streamed++
@@ -299,7 +266,7 @@ func TestCancellationSingleWorker(t *testing.T) {
 func TestCancellationPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	jobs := SweepJobs(testBase("sgprs"), testCounts, Options{})
+	jobs := seriesJobs(testBase("sgprs"), testCounts)
 	results := Run(ctx, jobs, Options{Jobs: 2})
 	for i, r := range results {
 		if !errors.Is(r.Err, context.Canceled) {
@@ -319,29 +286,13 @@ func TestCancelledSweepKeepsPoints(t *testing.T) {
 			cancel()
 		}
 	}}
-	series, err := SweepSeries(ctx, testBase("sgprs"), []int{2, 3, 4, 5}, opt)
-	if len(series) != 2 || series[0].Tasks != 2 || series[1].Tasks != 3 {
-		t.Fatalf("series = %+v, want the two completed points", series)
+	results := Run(ctx, seriesJobs(testBase("sgprs"), []int{2, 3, 4, 5}), opt)
+	for i, r := range results[:2] {
+		if r.Err != nil || r.Result.Tasks != []int{2, 3}[i] {
+			t.Fatalf("point %d = %+v, want a completed result", i, r)
+		}
 	}
-	if !errors.Is(err, context.Canceled) {
+	if err := Err(results); !errors.Is(err, context.Canceled) {
 		t.Errorf("sweep error = %v, want context.Canceled", err)
-	}
-}
-
-// TestSweepGridDuplicateNames: two bases resolving to the same variant name
-// are rejected instead of silently merging into one map key.
-func TestSweepGridDuplicateNames(t *testing.T) {
-	bases := []sim.RunConfig{testBase("dup"), testBase("dup")}
-	series, order, err := SweepGrid(context.Background(), bases, testCounts, Options{})
-	if err == nil || !strings.Contains(err.Error(), "duplicate variant name") {
-		t.Fatalf("err = %v, want duplicate variant name error", err)
-	}
-	if series != nil || order != nil {
-		t.Errorf("duplicate grid still returned series %v order %v", series, order)
-	}
-	// Unnamed configs of the same kind collide on the kind name too.
-	anon := []sim.RunConfig{{Kind: sim.KindSGPRS}, {Kind: sim.KindSGPRS}}
-	if _, _, err := SweepGrid(context.Background(), anon, testCounts, Options{}); err == nil {
-		t.Error("unnamed same-kind bases were not rejected")
 	}
 }

@@ -182,12 +182,12 @@ func (s *Session) runToHorizon(cfg RunConfig, scheduler sched.Scheduler, gen *wo
 		// Measure one full cycle (b, t3], recording every metric write and
 		// accounting operand.
 		s.collector.BeginRecording()
-		s.dev.BeginRecording()
+		s.devs[0].BeginRecording()
 		s.eng.RunUntil(t3)
 		if s.ffTrace != nil {
 			s.ffTrace(t3)
 		}
-		completedDelta := s.dev.EndRecording()
+		completedDelta := s.devs[0].EndRecording()
 		s.collector.EndRecording()
 		// Defensive re-verification: determinism guarantees the state at t3
 		// matches the stored fingerprint; anything else means the
@@ -199,11 +199,11 @@ func (s *Session) runToHorizon(cfg RunConfig, scheduler sched.Scheduler, gen *wo
 		}
 		delta := des.Time(int64(D) * int64(k))
 		s.collector.Replay(k, D)
-		s.dev.ReplayCycles(k, completedDelta)
+		s.devs[0].ReplayCycles(k, completedDelta)
 		r.warpJobs(delta, k)
 		gen.Warp(delta, k*int(int64(D)/int64(period)))
 		s.eng.Warp(delta)
-		s.dev.Warp(delta)
+		s.devs[0].Warp(delta)
 		r.stats.CyclesSkipped += uint64(k)
 		if s.ffTrace != nil {
 			s.ffTrace(t3 + delta)
@@ -248,7 +248,7 @@ func (r *ffRun) fingerprint(now des.Time) []byte {
 		buf = des.AppendI64(buf, int64(last-now))
 	})
 	buf = r.s.eng.EncodePending(buf, r.eventTag)
-	buf = r.s.dev.EncodeState(buf, now, r.argEnc)
+	buf = r.s.devs[0].EncodeState(buf, now, r.argEnc)
 	if r.coreSch != nil {
 		buf = r.coreSch.EncodeState(buf, r.jobEnc)
 	} else {
@@ -265,7 +265,7 @@ func (r *ffRun) eventTag(label string, arg any) uint64 {
 	if t, ok := r.gen.EventTag(arg); ok {
 		return t
 	}
-	if t, ok := r.s.dev.EventTag(arg); ok {
+	if t, ok := r.s.devs[0].EventTag(arg); ok {
 		return 1<<48 | t
 	}
 	return 0
@@ -356,7 +356,7 @@ func (r *ffRun) warpJobs(delta des.Time, k int) {
 	if r.coreSch != nil {
 		r.coreSch.ForEachJob(visit)
 	}
-	r.s.dev.ForEachKernelArg(func(arg any) {
+	r.s.devs[0].ForEachKernelArg(func(arg any) {
 		switch v := arg.(type) {
 		case *rt.StageJob:
 			visit(v.Job)

@@ -21,37 +21,24 @@ func referenceGPU(seed uint64) gpu.Config {
 // variant of both paper scenarios, swept across task counts spanning light
 // load through past the pivot — must be byte-for-byte equal between the
 // incremental engine and the retained full-recompute reference.
-// reflect.DeepEqual over the metrics points covers every float bit of every
+// reflect.DeepEqual over the full results covers every float bit of every
 // summary.
 func TestIncrementalEngineBitIdenticalScenarios(t *testing.T) {
 	counts := []int{4, 12, 26}
 	const horizon = 2
 	for _, scenario := range []int{1, 2} {
-		np, err := ScenarioContexts(scenario)
-		if err != nil {
-			t.Fatal(err)
+		grid := scenarioGrid(t, scenario, counts, horizon)
+		incremental := runAll(t, NewSession(nil), grid)
+		ref := make([]RunConfig, len(grid))
+		for i, cfg := range grid {
+			cfg.GPU = referenceGPU(cfg.Seed)
+			ref[i] = cfg
 		}
-		for _, v := range ScenarioVariants() {
-			base := RunConfig{
-				Kind:       v.Kind,
-				Name:       v.Name,
-				ContextSMs: ContextPool(np, v.OS, 68),
-				HorizonSec: horizon,
-				Seed:       1,
-				NumTasks:   1,
-			}
-			incremental, err := SweepSeriesWith(base, counts, nil)
-			if err != nil {
-				t.Fatalf("scenario %d %s incremental: %v", scenario, v.Name, err)
-			}
-			ref := base
-			ref.GPU = referenceGPU(base.Seed)
-			reference, err := SweepSeriesWith(ref, counts, nil)
-			if err != nil {
-				t.Fatalf("scenario %d %s reference: %v", scenario, v.Name, err)
-			}
-			if !reflect.DeepEqual(incremental, reference) {
-				t.Errorf("scenario %d %s: incremental engine output differs from full-recompute reference", scenario, v.Name)
+		reference := runAll(t, NewSession(nil), ref)
+		for i, cfg := range grid {
+			if !reflect.DeepEqual(incremental[i], reference[i]) {
+				t.Errorf("scenario %d %s n=%d: incremental engine output differs from full-recompute reference",
+					scenario, cfg.Name, cfg.NumTasks)
 			}
 		}
 	}

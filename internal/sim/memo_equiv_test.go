@@ -11,28 +11,20 @@ import (
 // fully cached scenario regeneration (fresh cache populated during the run,
 // then a second pass served entirely from hits) must be byte-for-byte equal
 // to the uncached reference path, for both paper scenarios. All comparisons
-// are reflect.DeepEqual over the full ScenarioRun, so every float bit of
-// every metric participates.
+// are reflect.DeepEqual over the full results, so every float bit of every
+// metric participates.
 func TestCachedScenarioBitIdentical(t *testing.T) {
 	counts := []int{4, 12, 24}
 	const horizon = 2
 	for _, scenario := range []int{1, 2} {
-		uncached, err := RunScenarioWith(scenario, counts, horizon, 1, nil)
-		if err != nil {
-			t.Fatalf("scenario %d uncached: %v", scenario, err)
-		}
+		grid := scenarioGrid(t, scenario, counts, horizon)
+		uncached := runAll(t, NewSession(nil), grid)
 		cache := memo.New()
-		cold, err := RunScenarioWith(scenario, counts, horizon, 1, cache)
-		if err != nil {
-			t.Fatalf("scenario %d cold cache: %v", scenario, err)
-		}
+		cold := runAll(t, NewSession(cache), grid)
 		if !reflect.DeepEqual(uncached, cold) {
 			t.Errorf("scenario %d: cold-cache output differs from uncached", scenario)
 		}
-		warm, err := RunScenarioWith(scenario, counts, horizon, 1, cache)
-		if err != nil {
-			t.Fatalf("scenario %d warm cache: %v", scenario, err)
-		}
+		warm := runAll(t, NewSession(cache), grid)
 		if !reflect.DeepEqual(uncached, warm) {
 			t.Errorf("scenario %d: warm-cache output differs from uncached", scenario)
 		}

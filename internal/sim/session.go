@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"sgprs/internal/cluster"
 	"sgprs/internal/des"
 	"sgprs/internal/dnn"
 	"sgprs/internal/fault"
@@ -35,17 +36,18 @@ import (
 type Session struct {
 	cache *memo.Cache
 
-	eng       *des.Engine
-	dev       *gpu.Device
+	eng *des.Engine
+	// devs caches the devices across runs, Reset per run; a run uses the
+	// first max(Devices, 1), and device 0 is the one fast-forward drives.
+	devs []*gpu.Device
+	// members is the run's device/scheduler pairing, its backing array
+	// reused across runs.
+	members   []cluster.Member
 	pool      rt.JobPool
 	collector *metrics.Collector
 
 	prof    *profile.Profiler
 	profCfg gpu.Config
-
-	// fleetDevs caches the extra fleet devices (positions 1..Devices-1;
-	// position 0 is s.dev) across fleet runs, Reset per run like s.dev.
-	fleetDevs []*gpu.Device
 
 	tasks map[taskSetKey][]*rt.Task
 
@@ -94,7 +96,17 @@ func NewSession(cache *memo.Cache) *Session {
 
 // Run executes one simulation on the session's reused infrastructure and
 // returns its metrics, exactly as RunWith would for the same configuration
-// and cache.
+// and cache. It is the one run pipeline: a single-device run and a fleet
+// (DESIGN.md §15) wire devices, schedulers, fault injectors, collector, and
+// generator here alike. A single device's scheduler is the generator's
+// target directly; cfg.Devices > 1 puts a cluster dispatcher in front of one
+// scheduler per device, all on the one shared engine.
+//
+// Seeds: device i runs at cfg.GPU.Seed+i so a fleet's stochastic streams
+// decorrelate; device i's fault injector at faultSeed+i likewise; the
+// dispatcher's reserved stream at cfg.Seed+4 (the run seed's next unclaimed
+// offset after GPU +1, workload +2, faults +3). All derived streams fork
+// with distinct salts, so overlapping bases cannot collide.
 func (s *Session) Run(cfg RunConfig) (Result, error) {
 	if err := cfg.Normalize(); err != nil {
 		return Result{}, err
@@ -102,17 +114,9 @@ func (s *Session) Run(cfg RunConfig) (Result, error) {
 	model := defaultModel()
 
 	s.eng.Reset()
-	if s.dev == nil {
-		dev, err := gpu.NewDevice(s.eng, model, cfg.GPU)
-		if err != nil {
-			return Result{}, err
-		}
-		s.dev = dev
-	} else if err := s.dev.Reset(cfg.GPU); err != nil {
+	devs, err := s.devices(cfg, model)
+	if err != nil {
 		return Result{}, err
-	}
-	if cfg.Observer != nil {
-		s.dev.SetObserver(cfg.Observer)
 	}
 
 	var graph *dnn.Graph
@@ -155,17 +159,18 @@ func (s *Session) Run(cfg RunConfig) (Result, error) {
 		}
 	}
 
-	if cfg.Devices > 1 {
-		return s.runFleet(cfg, model, tasks)
+	members := s.members[:0]
+	for _, d := range devs {
+		sch, err := buildScheduler(cfg)
+		if err != nil {
+			return Result{}, err
+		}
+		if err := sch.Attach(s.eng, d, tasks); err != nil {
+			return Result{}, err
+		}
+		members = append(members, cluster.Member{Dev: d, Sch: sch})
 	}
-
-	scheduler, err := buildScheduler(cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	if err := scheduler.Attach(s.eng, s.dev, tasks); err != nil {
-		return Result{}, err
-	}
+	s.members = members
 
 	horizon := des.FromSeconds(cfg.HorizonSec)
 	warmUp := des.FromSeconds(cfg.WarmUpSec)
@@ -176,58 +181,134 @@ func (s *Session) Run(cfg RunConfig) (Result, error) {
 	}
 	s.collector.SetSLO(cfg.SLOMS)
 
-	// Fault injection (DESIGN.md §13): the injector draws from a dedicated
-	// forked RNG stream, so installing it never perturbs the workload or
-	// contention-jitter cursors; with cfg.Faults nil none of this runs and
-	// the dynamics are bit-identical to the pre-fault code path.
-	var inj *fault.Injector
+	// Fault injection (DESIGN.md §13) runs per device: every device gets its
+	// own injector (own forked streams, own device hook, its scheduler as
+	// recovery handler), drawing from dedicated streams so installing it
+	// never perturbs the workload or contention-jitter cursors. Degradation
+	// windows apply to every device alike, so only device 0's injector flips
+	// the collector's degraded marker: the edges coincide across devices, and
+	// one toggle per edge is the collector's contract. With cfg.Faults nil
+	// none of this runs and the dynamics are bit-identical to a fault-free
+	// build.
+	var injs []*fault.Injector
+	var deviceFaults []fault.DeviceFault
 	if cfg.Faults != nil {
-		handler, _ := scheduler.(sched.FaultHandler)
-		seed := cfg.Faults.Seed
-		if seed == 0 {
-			seed = cfg.Seed + 3
+		deviceFaults = cfg.Faults.DeviceFaults
+		base := cfg.Faults.Seed
+		if base == 0 {
+			base = cfg.Seed + 3
 		}
-		inj, err = fault.NewInjector(cfg.Faults, s.eng, s.dev, handler, seed)
+		for i, m := range members {
+			handler, _ := m.Sch.(sched.FaultHandler)
+			inj, err := fault.NewInjector(cfg.Faults, s.eng, m.Dev, handler, base+uint64(i))
+			if err != nil {
+				return Result{}, err
+			}
+			var marker fault.Marker
+			if i == 0 {
+				marker = s.collector
+			}
+			inj.Install(marker)
+			injs = append(injs, inj)
+		}
+	}
+
+	target := members[0].Sch
+	var fleet *cluster.Fleet
+	if len(devs) > 1 {
+		fleet, err = cluster.New(s.eng, cluster.Config{
+			Placement:    cfg.Placement,
+			Failover:     cfg.Failover,
+			AdmitCeiling: cfg.AdmitCeiling,
+			Seed:         cfg.Seed + 4,
+			DeviceFaults: deviceFaults,
+		}, members, tasks, horizon)
 		if err != nil {
 			return Result{}, err
 		}
-		inj.Install(s.collector)
+		fleet.Install(s.collector)
+		target = fleet
 	}
 
-	gen := workload.NewGeneratorSeeded(s.eng, scheduler, cfg.Seed+2)
+	gen := workload.NewGeneratorSeeded(s.eng, target, cfg.Seed+2)
 	gen.SetSink(s.collector)
 	gen.UsePool(&s.pool)
 	gen.SetArrival(cfg.Arrival)
 	gen.Start(tasks, horizon)
-	ff := s.runToHorizon(cfg, scheduler, gen, tasks, warmUp, horizon)
+	// The fleet dispatcher is not a recognised steady-state scheduler, so a
+	// fleet run always takes runToHorizon's reference path; going through it
+	// keeps the lockstep trace hooks working.
+	ff := s.runToHorizon(cfg, target, gen, tasks, warmUp, horizon)
 
 	sum := s.collector.Summary()
-	if inj != nil {
-		// The collector filled the Degraded* fields of sum.Faults; the
-		// injection counters live in the injector.
+	// The collector filled the Degraded* fields of sum.Faults; the
+	// injection counters live in the injectors.
+	for _, inj := range injs {
 		st := inj.Stats()
-		sum.Faults.Overruns = st.Overruns
-		sum.Faults.OverrunMassMS = st.OverrunMassMS
-		sum.Faults.TransientFaults = st.TransientFaults
-		sum.Faults.Retries = st.Retries
-		sum.Faults.Recoveries = st.Recoveries
-		sum.Faults.SkippedJobs = st.SkippedJobs
-		sum.Faults.KilledChains = st.KilledChains
+		sum.Faults.Overruns += st.Overruns
+		sum.Faults.OverrunMassMS += st.OverrunMassMS
+		sum.Faults.TransientFaults += st.TransientFaults
+		sum.Faults.Retries += st.Retries
+		sum.Faults.Recoveries += st.Recoveries
+		sum.Faults.SkippedJobs += st.SkippedJobs
+		sum.Faults.KilledChains += st.KilledChains
 	}
+	if fleet != nil {
+		// The collector filled the fleet-degraded attribution; everything
+		// else in FleetStats lives in the dispatcher.
+		fs := fleet.Stats()
+		fs.FleetDegradedReleased = sum.Fleet.FleetDegradedReleased
+		fs.FleetDegradedMissed = sum.Fleet.FleetDegradedMissed
+		fs.FleetDegradedDMR = sum.Fleet.FleetDegradedDMR
+		sum.Fleet = fs
+	}
+
+	// Device rollups: utilization averages over the devices (each is
+	// already a [0,1] mean over time), energy and power add up, in fixed
+	// device order.
 	pm := gpu.DefaultPowerModel()
 	res := Result{
-		Name:              cfg.Name,
-		Tasks:             cfg.NumTasks,
-		Summary:           sum,
-		FastForward:       ff,
-		DeviceUtilization: s.dev.Utilization(),
-		EnergyJoules:      s.dev.EnergyJoules(pm),
-		AvgPowerW:         s.dev.AveragePowerW(pm),
+		Name:        cfg.Name,
+		Tasks:       cfg.NumTasks,
+		Summary:     sum,
+		FastForward: ff,
 	}
+	var util float64
+	for _, d := range devs {
+		util += d.Utilization()
+		res.EnergyJoules += d.EnergyJoules(pm)
+		res.AvgPowerW += d.AveragePowerW(pm)
+	}
+	res.DeviceUtilization = util / float64(len(devs))
 	if res.AvgPowerW > 0 {
 		res.FPSPerWatt = sum.TotalFPS / res.AvgPowerW
 	}
 	return res, nil
+}
+
+// devices resets the session's cached devices for the run, creating any the
+// cache lacks, and returns the run's max(cfg.Devices, 1) of them.
+func (s *Session) devices(cfg RunConfig, model *speedup.Model) ([]*gpu.Device, error) {
+	n := max(cfg.Devices, 1)
+	for i := 0; i < n; i++ {
+		gi := cfg.GPU
+		gi.Seed = cfg.GPU.Seed + uint64(i)
+		if i < len(s.devs) {
+			if err := s.devs[i].Reset(gi); err != nil {
+				return nil, err
+			}
+		} else {
+			d, err := gpu.NewDevice(s.eng, model, gi)
+			if err != nil {
+				return nil, err
+			}
+			s.devs = append(s.devs, d)
+		}
+		if cfg.Observer != nil {
+			s.devs[i].SetObserver(cfg.Observer)
+		}
+	}
+	return s.devs[:n], nil
 }
 
 // taskSet returns the built task set for the configuration, reusing a

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"sgprs/internal/memo"
 	"sgprs/internal/metrics"
 	"sgprs/internal/speedup"
 )
@@ -184,18 +185,66 @@ func TestRunDeterminism(t *testing.T) {
 	}
 }
 
-func TestSweepSeries(t *testing.T) {
-	base := RunConfig{
-		Kind:       KindSGPRS,
-		Name:       "sgprs",
-		ContextSMs: []int{34, 34},
-		NumTasks:   1,
-		HorizonSec: 2,
-	}
-	series, err := SweepSeries(base, []int{2, 4, 6})
+// scenarioGrid is a paper scenario's variant × task-count grid at seed 1,
+// variant-major with the task counts innermost — the cells exp.Scenario
+// compiles to.
+func scenarioGrid(t *testing.T, scenario int, counts []int, horizonSec float64) []RunConfig {
+	t.Helper()
+	np, err := ScenarioContexts(scenario)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var cfgs []RunConfig
+	for _, v := range ScenarioVariants() {
+		for _, n := range counts {
+			cfgs = append(cfgs, RunConfig{
+				Kind:       v.Kind,
+				Name:       v.Name,
+				ContextSMs: ContextPool(np, v.OS, speedup.DeviceSMs),
+				HorizonSec: horizonSec,
+				Seed:       1,
+				NumTasks:   n,
+			})
+		}
+	}
+	return cfgs
+}
+
+// runAll runs the configurations in order on one session.
+func runAll(t *testing.T, sess *Session, cfgs []RunConfig) []Result {
+	t.Helper()
+	out := make([]Result, len(cfgs))
+	for i, cfg := range cfgs {
+		res, err := sess.Run(cfg)
+		if err != nil {
+			t.Fatalf("%s n=%d: %v", cfg.Name, cfg.NumTasks, err)
+		}
+		out[i] = res
+	}
+	return out
+}
+
+// seriesByName folds run results into per-variant figure series.
+func seriesByName(results []Result) map[string][]metrics.Point {
+	series := map[string][]metrics.Point{}
+	for _, r := range results {
+		series[r.Name] = append(series[r.Name], metrics.Point{Tasks: r.Tasks, Summary: r.Summary, FastForward: r.FastForward})
+	}
+	return series
+}
+
+func TestSweepSeries(t *testing.T) {
+	var cfgs []RunConfig
+	for _, n := range []int{2, 4, 6} {
+		cfgs = append(cfgs, RunConfig{
+			Kind:       KindSGPRS,
+			Name:       "sgprs",
+			ContextSMs: []int{34, 34},
+			NumTasks:   n,
+			HorizonSec: 2,
+		})
+	}
+	series := seriesByName(runAll(t, NewSession(memo.Default()), cfgs))["sgprs"]
 	if len(series) != 3 {
 		t.Fatalf("series = %d points", len(series))
 	}
@@ -209,14 +258,11 @@ func TestSweepSeries(t *testing.T) {
 }
 
 func TestRunScenarioSmall(t *testing.T) {
-	run, err := RunScenario(1, []int{2, 4}, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run.Scenario != 1 || len(run.Order) != 4 {
+	run := seriesByName(runAll(t, NewSession(memo.Default()), scenarioGrid(t, 1, []int{2, 4}, 2)))
+	if len(run) != 4 {
 		t.Fatalf("scenario run = %+v", run)
 	}
-	for name, series := range run.Series {
+	for name, series := range run {
 		if len(series) != 2 {
 			t.Errorf("%s series = %d points", name, len(series))
 		}
@@ -225,7 +271,7 @@ func TestRunScenarioSmall(t *testing.T) {
 			t.Errorf("%s pivot = %d, want 4", name, metrics.PivotPoint(series))
 		}
 	}
-	if _, err := RunScenario(9, []int{1}, 1, 1); err == nil {
+	if _, err := ScenarioContexts(9); err == nil {
 		t.Error("bad scenario accepted")
 	}
 }
@@ -248,12 +294,9 @@ func TestHeadlineClaim(t *testing.T) {
 		t.Skip("multi-point sweep")
 	}
 	counts := []int{8, 16, 20, 24, 28}
-	run, err := RunScenario(1, counts, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	naive := run.Series["naive"]
-	sgprs := run.Series["sgprs-2.0x"]
+	run := seriesByName(runAll(t, NewSession(memo.Default()), scenarioGrid(t, 1, counts, 4)))
+	naive := run["naive"]
+	sgprs := run["sgprs-2.0x"]
 	if pn, ps := metrics.PivotPoint(naive), metrics.PivotPoint(sgprs); pn >= ps {
 		t.Errorf("naive pivot %d should precede SGPRS pivot %d", pn, ps)
 	}

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"sgprs/internal/memo"
-	"sgprs/internal/metrics"
-	"sgprs/internal/speedup"
 )
 
 // TestStreamingMatchesBatchScenarios is the streaming-metrics acceptance
@@ -22,13 +20,21 @@ func TestStreamingMatchesBatchScenarios(t *testing.T) {
 	counts := []int{4, 12, 24}
 	const horizon = 2
 	for _, scenario := range []int{1, 2} {
-		want := batchScenario(t, scenario, counts, horizon)
-		got, err := RunScenarioWith(scenario, counts, horizon, 1, memo.New())
-		if err != nil {
-			t.Fatalf("scenario %d streaming: %v", scenario, err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("scenario %d: streaming output differs from batch reference", scenario)
+		cache := memo.New()
+		sess := NewSession(memo.New())
+		for _, cfg := range scenarioGrid(t, scenario, counts, horizon) {
+			want, err := runBatch(cfg, cache)
+			if err != nil {
+				t.Fatalf("scenario %d %s n=%d batch: %v", scenario, cfg.Name, cfg.NumTasks, err)
+			}
+			got, err := sess.Run(cfg)
+			if err != nil {
+				t.Fatalf("scenario %d %s n=%d streaming: %v", scenario, cfg.Name, cfg.NumTasks, err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("scenario %d %s n=%d: streaming output differs from batch reference",
+					scenario, cfg.Name, cfg.NumTasks)
+			}
 		}
 	}
 }
@@ -60,39 +66,6 @@ func TestStreamingMatchesBatchJittered(t *testing.T) {
 				cfg.Name, want, got)
 		}
 	}
-}
-
-// batchScenario regenerates a scenario through runBatch — the reference
-// retain-and-Evaluate path.
-func batchScenario(t *testing.T, scenario int, counts []int, horizonSec float64) *ScenarioRun {
-	t.Helper()
-	np, err := ScenarioContexts(scenario)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := &ScenarioRun{Scenario: scenario, TaskCounts: counts, Series: map[string][]metrics.Point{}}
-	cache := memo.New()
-	for _, v := range ScenarioVariants() {
-		var series []metrics.Point
-		for _, n := range counts {
-			cfg := RunConfig{
-				Kind:       v.Kind,
-				Name:       v.Name,
-				ContextSMs: ContextPool(np, v.OS, speedup.DeviceSMs),
-				HorizonSec: horizonSec,
-				Seed:       1,
-				NumTasks:   n,
-			}
-			res, err := runBatch(cfg, cache)
-			if err != nil {
-				t.Fatalf("%s n=%d: %v", v.Name, n, err)
-			}
-			series = append(series, metrics.Point{Tasks: n, Summary: res.Summary})
-		}
-		run.Series[v.Name] = series
-		run.Order = append(run.Order, v.Name)
-	}
-	return run
 }
 
 // TestSessionReuseBitIdentical pins the session-reuse invariant: a single

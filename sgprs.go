@@ -27,13 +27,13 @@
 // frame rate, release jitter, work variation, horizon), and a process-wide
 // registry ships the paper's scenarios plus built-in studies — list them
 // with Experiments(), run one with RunExperiment (context cancellation and
-// streaming per-job results included). The legacy RunScenario/SweepSeries/
-// SweepGrid calls are thin wrappers over specs, bit-identical to their
-// original output.
+// streaming per-job results included). RunScenario and SweepSeries are
+// thin folds over an experiment's results.
 //
-// Sweeps and scenario regenerations fan their independent runs out across a
-// deterministic worker pool (internal/runner): results are bit-identical to
-// a sequential execution for any worker count. See SweepOptions.
+// Every sweep compiles a spec and fans its independent runs out across a
+// deterministic worker pool (internal/runner): results are bit-identical
+// for any worker count, and a golden-digest corpus of recorded results
+// (internal/exp/testdata/golden.txt) pins them. See SweepOptions.
 //
 // Metrics stream as the simulation runs and finished jobs are recycled, so a
 // run's live memory is proportional to in-flight work, not horizon length —
@@ -126,8 +126,9 @@ func ParseFailoverPolicy(s string) (FailoverPolicy, error) { return rt.ParseFail
 type FleetStats = metrics.FleetStats
 
 // SweepOptions configures the parallel experiment runner: worker count
-// (default one per CPU), progress callbacks, and per-job seed decorrelation.
-// The zero value is ready to use. Worker count never affects results.
+// (default one per CPU), progress callbacks, and the offline cache. The
+// zero value is ready to use. Worker count never affects results; per-cell
+// seed decorrelation is the experiment's SeedPolicy (SeedDerived).
 type SweepOptions = runner.Options
 
 // SweepJob is one unit of runner work: a run plus its sweep coordinates.
@@ -250,8 +251,8 @@ func AxisKinds() []AxisKind { return exp.Kinds() }
 type ExperimentResults = exp.ResultSet
 
 // ExperimentSeedPolicy selects how compiled jobs get their seeds:
-// SeedFixed (the default, matching the sequential drivers) or SeedDerived
-// (per-cell decorrelation via DeriveSeed).
+// SeedFixed (the default: every cell keeps its variant's seed) or
+// SeedDerived (per-cell decorrelation via DeriveSeed).
 type ExperimentSeedPolicy = exp.SeedPolicy
 
 // Experiment seed policies.
@@ -375,24 +376,12 @@ func RunExperiment(ctx context.Context, spec *Experiment, opt SweepOptions) (*Ex
 	return exp.Run(ctx, spec, opt)
 }
 
-// seedPolicy translates the legacy DecorrelateSeeds option into the spec's
-// seed policy. The wrappers' expanded labels equal the bare variant names,
-// so SeedDerived stamps exactly the DeriveSeed(base, name, n) seeds the
-// pre-spec expansion did.
-func seedPolicy(opt SweepOptions) ExperimentSeedPolicy {
-	if opt.DecorrelateSeeds {
-		return SeedDerived
-	}
-	return SeedFixed
-}
-
 // SweepSeries sweeps one configuration across task counts — one figure
 // series — fanning the runs out across all CPUs. When individual runs fail,
 // the completed points are returned alongside a JobErrors value; an invalid
 // configuration fails the whole sweep up front (spec compilation validates
-// every point before dispatch). It is a thin wrapper over a one-variant
-// Experiment spec; output is bit-identical to the pre-spec implementation
-// (equivalence tests pin it).
+// every point before dispatch). It folds a one-variant Experiment's results
+// (RunExperiment with a Series spec).
 func SweepSeries(base RunConfig, taskCounts []int) ([]Point, error) {
 	return SweepSeriesWith(base, taskCounts, SweepOptions{})
 }
@@ -402,54 +391,17 @@ func SweepSeriesWith(base RunConfig, taskCounts []int, opt SweepOptions) ([]Poin
 	if len(taskCounts) == 0 {
 		return []Point{}, nil
 	}
-	spec := exp.Series(base, taskCounts)
-	spec.SeedPolicy = seedPolicy(opt)
-	rs, err := exp.Run(context.Background(), spec, opt)
+	rs, err := exp.Run(context.Background(), exp.Series(base, taskCounts), opt)
 	if rs == nil {
 		return nil, err
 	}
-	// One variant: every completed result is one point, already in job
-	// (= task-count) order.
-	series := make([]Point, 0, len(rs.Results))
-	for _, r := range rs.Results {
-		if r.Err == nil {
-			series = append(series, Point{Tasks: r.Job.Tasks, Summary: r.Result.Summary})
-		}
-	}
-	return series, err
-}
-
-// SweepGrid sweeps several configurations over the same task counts as one
-// flat fan-out, returning per-variant series keyed by name plus the
-// submission order. Configurations resolving to duplicate variant names
-// are rejected (they would merge into one map key), as is any invalid
-// sweep point (spec compilation validates the grid before dispatch); runs
-// failing at execution time keep their finished siblings. Like the other
-// legacy drivers it wraps an Experiment spec.
-func SweepGrid(bases []RunConfig, taskCounts []int, opt SweepOptions) (map[string][]Point, []string, error) {
-	if len(bases) == 0 {
-		return map[string][]Point{}, nil, nil
-	}
-	if len(taskCounts) == 0 {
-		// Degenerate sweep: preserve the legacy shape (every variant
-		// present with an empty series) without compiling an empty
-		// task axis.
-		return runner.SweepGrid(context.Background(), bases, nil, opt)
-	}
-	spec := exp.Grid(bases, taskCounts)
-	spec.SeedPolicy = seedPolicy(opt)
-	rs, err := exp.Run(context.Background(), spec, opt)
-	if rs == nil {
-		return nil, nil, err
-	}
-	return rs.Series(), rs.Order, err
+	return rs.Series()[rs.Order[0]], err
 }
 
 // RunScenario regenerates a full paper scenario (1 or 2): the naive baseline
 // plus SGPRS at over-subscription 1.0/1.5/2.0 over the task counts, in
-// parallel across all CPUs. It wraps the registry's scenario spec; output
-// is bit-identical to the sequential reference driver (sim.RunScenario)
-// for any worker count (equivalence tests pin it at 1, 2, and 4 workers).
+// parallel across all CPUs. It folds the results of ScenarioExperiment's
+// spec; output is bit-identical for any worker count.
 func RunScenario(scenario int, taskCounts []int, horizonSec float64, seed uint64) (*sim.ScenarioRun, error) {
 	return RunScenarioWith(scenario, taskCounts, horizonSec, seed, SweepOptions{})
 }
@@ -460,7 +412,6 @@ func RunScenarioWith(scenario int, taskCounts []int, horizonSec float64, seed ui
 	if err != nil {
 		return nil, err
 	}
-	spec.SeedPolicy = seedPolicy(opt)
 	rs, runErr := exp.Run(context.Background(), spec, opt)
 	if rs == nil {
 		return nil, runErr

@@ -3,11 +3,11 @@ package sgprs_test
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sgprs"
-	"sgprs/internal/runner"
-	"sgprs/internal/sim"
+	"sgprs/internal/gpu"
 )
 
 // TestFacadeQuickstart exercises the public API end to end, exactly as the
@@ -113,33 +113,81 @@ func TestFacadeExperimentRegistry(t *testing.T) {
 	}
 }
 
-// TestFacadeLegacyWrappersBitIdentical is the pinned acceptance test at the
-// facade: the spec-driven RunScenario wrapper regenerates scenarios 1 and 2
-// bit-identically to the sequential reference driver at worker counts 1, 2,
-// and 4.
+// TestFacadeLegacyWrappersBitIdentical: the RunScenario wrapper regenerates
+// scenarios 1 and 2 at worker counts 1, 2, and 4 bit-identically to the
+// scenario spec's compiled grid run in order on one session.
 func TestFacadeLegacyWrappersBitIdentical(t *testing.T) {
 	counts := []int{2, 4}
 	const horizon = 2
 	for _, scenario := range []int{1, 2} {
-		ref, err := sim.RunScenario(scenario, counts, horizon, 1)
+		spec, err := sgprs.ScenarioExperiment(scenario, counts, horizon, 1)
 		if err != nil {
 			t.Fatal(err)
+		}
+		c, err := spec.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string][]sgprs.Point{}
+		sess := sgprs.NewSession()
+		for _, j := range c.Jobs {
+			res, err := sess.Run(j.Config)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[j.Variant] = append(want[j.Variant], sgprs.Point{Tasks: j.Tasks, Summary: res.Summary, FastForward: res.FastForward})
 		}
 		for _, workers := range []int{1, 2, 4} {
 			got, err := sgprs.RunScenarioWith(scenario, counts, horizon, 1, sgprs.SweepOptions{Jobs: workers})
 			if err != nil {
 				t.Fatalf("scenario %d workers=%d: %v", scenario, workers, err)
 			}
-			if !reflect.DeepEqual(ref, got) {
-				t.Errorf("scenario %d workers=%d: wrapper output differs from sequential reference", scenario, workers)
+			if !reflect.DeepEqual(want, got.Series) || !reflect.DeepEqual(c.Order, got.Order) || !reflect.DeepEqual(counts, got.TaskCounts) {
+				t.Errorf("scenario %d workers=%d: wrapper output differs from the sequential runs", scenario, workers)
 			}
 		}
 	}
 }
 
-// TestFacadeSweepGridDuplicates: the spec-backed grid rejects duplicate
-// variant names instead of silently merging their series.
-func TestFacadeSweepGridDuplicates(t *testing.T) {
+// TestFacadeSweepSeriesFastForward: SweepSeries points carry the runs'
+// fast-forward statistics, equal to RunExperiment's. The base is
+// fast-forward eligible (no contention jitter) and long enough to skip
+// cycles.
+func TestFacadeSweepSeriesFastForward(t *testing.T) {
+	g := gpu.DefaultConfig()
+	g.ContentionJitter = 0
+	g.Seed = 2
+	base := sgprs.RunConfig{
+		Kind:       sgprs.KindSGPRS,
+		Name:       "steady",
+		ContextSMs: sgprs.ContextPool(3, 1.5, 68),
+		HorizonSec: 60,
+		GPU:        g,
+	}
+	series, err := sgprs.SweepSeries(base, []int{26})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(series) != 1 || series[0].FastForward.CyclesSkipped == 0 {
+		t.Fatalf("series = %+v, want one point that skipped cycles", series)
+	}
+	rs, err := sgprs.RunExperiment(context.Background(), &sgprs.Experiment{
+		Name:     "steady",
+		Variants: []sgprs.RunConfig{base},
+		Axes:     []sgprs.ExperimentAxis{sgprs.TasksAxis(26)},
+	}, sgprs.SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := rs.Series()["steady"]; !reflect.DeepEqual(want, series) {
+		t.Errorf("SweepSeries = %+v, RunExperiment = %+v", series, want)
+	}
+}
+
+// TestFacadeExperimentDuplicates: an experiment whose variants share a name
+// fails compilation — no result set, an error naming the duplicate —
+// instead of silently merging their series.
+func TestFacadeExperimentDuplicates(t *testing.T) {
 	base := sgprs.RunConfig{
 		Kind:       sgprs.KindSGPRS,
 		Name:       "dup",
@@ -147,21 +195,20 @@ func TestFacadeSweepGridDuplicates(t *testing.T) {
 		NumTasks:   1,
 		HorizonSec: 2,
 	}
-	if _, _, err := sgprs.SweepGrid([]sgprs.RunConfig{base, base}, []int{2}, sgprs.SweepOptions{}); err == nil {
-		t.Fatal("duplicate variant names accepted")
-	}
-	// The degenerate empty-counts shape is preserved: every variant
-	// present with an empty series, no error.
-	series, order, err := sgprs.SweepGrid([]sgprs.RunConfig{base}, nil, sgprs.SweepOptions{})
-	if err != nil || len(order) != 1 || len(series["dup"]) != 0 {
-		t.Errorf("empty-counts grid = %v %v %v", series, order, err)
+	rs, err := sgprs.RunExperiment(context.Background(), &sgprs.Experiment{
+		Name:     "dups",
+		Variants: []sgprs.RunConfig{base, base},
+		Axes:     []sgprs.ExperimentAxis{sgprs.TasksAxis(2)},
+	}, sgprs.SweepOptions{})
+	if rs != nil || err == nil || !strings.Contains(err.Error(), `duplicate variant name "dup"`) {
+		t.Fatalf("RunExperiment = %v, %v; want a duplicate-name compile error", rs, err)
 	}
 }
 
-// TestFacadeDecorrelateSeeds: the spec-backed wrappers translate
-// DecorrelateSeeds into the spec's SeedDerived policy, stamping exactly the
-// per-point seeds the pre-spec expansion did.
-func TestFacadeDecorrelateSeeds(t *testing.T) {
+// TestFacadeSeedDerived: under SeedDerived every cell runs at
+// DeriveSeed(base seed, label, n) — exactly a one-shot Run at that seed —
+// and on a seed-sensitive workload the results differ from SeedFixed.
+func TestFacadeSeedDerived(t *testing.T) {
 	base := sgprs.RunConfig{
 		Kind:          sgprs.KindSGPRS,
 		Name:          "sgprs",
@@ -171,24 +218,34 @@ func TestFacadeDecorrelateSeeds(t *testing.T) {
 		Seed:          7,
 		WorkVariation: 0.3, // seed-sensitive workload
 	}
-	counts := []int{2, 4}
-	opt := sgprs.SweepOptions{DecorrelateSeeds: true}
-	ref, err := runner.SweepSeries(context.Background(), base, counts, opt)
+	spec := &sgprs.Experiment{
+		Name:       "derived",
+		Variants:   []sgprs.RunConfig{base},
+		Axes:       []sgprs.ExperimentAxis{sgprs.TasksAxis(2, 4)},
+		SeedPolicy: sgprs.SeedDerived,
+	}
+	derived, err := sgprs.RunExperiment(context.Background(), spec, sgprs.SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sgprs.SweepSeriesWith(base, counts, opt)
+	for _, r := range derived.Results {
+		cfg := base
+		cfg.NumTasks = r.Job.Tasks
+		cfg.Seed = sgprs.DeriveSeed(base.Seed, "sgprs", r.Job.Tasks)
+		want, err := sgprs.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, r.Result) {
+			t.Errorf("n=%d: derived-seed cell differs from a run at DeriveSeed", r.Job.Tasks)
+		}
+	}
+	spec.SeedPolicy = sgprs.SeedFixed
+	fixed, err := sgprs.RunExperiment(context.Background(), spec, sgprs.SweepOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ref, got) {
-		t.Error("decorrelated wrapper differs from the legacy expansion")
-	}
-	fixed, err := sgprs.SweepSeriesWith(base, counts, sgprs.SweepOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(fixed, got) {
-		t.Error("DecorrelateSeeds had no effect on a seed-sensitive workload")
+	if reflect.DeepEqual(fixed.Series(), derived.Series()) {
+		t.Error("SeedDerived had no effect on a seed-sensitive workload")
 	}
 }
