@@ -66,22 +66,24 @@ type Collector struct {
 	// the BacklogSlot indexing.
 	depthStarts, depthEnds []des.Time
 
+	// flags holds each response slot's release-time attribution, parallel
+	// to resp: appendSlot is the only place either slice grows.
+	flags []slotFlags
+
 	// Degraded-window attribution (fault injection, DESIGN.md §13): the
 	// injector toggles degraded at each SM-degradation window edge, and
-	// every in-window released job records the flag in degFlags — parallel
-	// to resp — so completions can be judged against the degraded subset.
+	// every in-window released job records it as flagDegraded so
+	// completions can be judged against the degraded subset.
 	degraded             bool
-	degFlags             []bool
 	degReleased          int
 	degCompletedReleased int
 	degLateCompleted     int
 
 	// Fleet-degraded attribution (cluster layer, DESIGN.md §15): the
 	// dispatcher raises fleetDegraded while at least one device is down,
-	// and releases record the flag in fleetFlags — parallel to resp — so
-	// completions can be judged against the degraded-fleet subset.
+	// and releases record it as flagFleetDegraded so completions can be
+	// judged against the degraded-fleet subset.
 	fleetDegraded        bool
-	fleetFlags           []bool
 	fltReleased          int
 	fltCompletedReleased int
 	fltLateCompleted     int
@@ -115,15 +117,14 @@ func (c *Collector) Reset(warmUp, horizon des.Time) {
 	c.sloMS = 0
 	c.released, c.completed, c.completedReleased, c.lateCompleted, c.dropped = 0, 0, 0, 0, 0
 	c.resp = c.resp[:0]
+	c.flags = c.flags[:0]
 	c.starts = c.starts[:0]
 	c.ends = c.ends[:0]
 	c.recording = false
 	c.recOps = c.recOps[:0]
 	c.degraded = false
-	c.degFlags = c.degFlags[:0]
 	c.degReleased, c.degCompletedReleased, c.degLateCompleted = 0, 0, 0
 	c.fleetDegraded = false
-	c.fleetFlags = c.fleetFlags[:0]
 	c.fltReleased, c.fltCompletedReleased, c.fltLateCompleted = 0, 0, 0
 }
 
@@ -156,15 +157,16 @@ func (c *Collector) JobReleased(j *rt.Job, now des.Time) {
 	} else {
 		j.MetricsSlot = len(c.resp)
 		c.released++
-		c.resp = append(c.resp, math.NaN())
-		c.degFlags = append(c.degFlags, c.degraded)
+		var f slotFlags
 		if c.degraded {
+			f |= flagDegraded
 			c.degReleased++
 		}
-		c.fleetFlags = append(c.fleetFlags, c.fleetDegraded)
 		if c.fleetDegraded {
+			f |= flagFleetDegraded
 			c.fltReleased++
 		}
+		c.appendSlot(f)
 	}
 	if c.recording {
 		c.recordRelease(j)
@@ -189,16 +191,14 @@ func (c *Collector) JobDone(j *rt.Job, now des.Time) {
 			c.lateCompleted++
 		}
 		c.resp[j.MetricsSlot] = j.ResponseTime().Milliseconds()
-		// Slots appended by fast-forward Replay have no degFlags entry:
-		// fault-injected runs are FF-ineligible, so a replayed slot is
-		// never degraded and treating it as false is exact.
-		if j.MetricsSlot < len(c.degFlags) && c.degFlags[j.MetricsSlot] {
+		f := c.flags[j.MetricsSlot]
+		if f&flagDegraded != 0 {
 			c.degCompletedReleased++
 			if now > j.Deadline {
 				c.degLateCompleted++
 			}
 		}
-		if j.MetricsSlot < len(c.fleetFlags) && c.fleetFlags[j.MetricsSlot] {
+		if f&flagFleetDegraded != 0 {
 			c.fltCompletedReleased++
 			if now > j.Deadline {
 				c.fltLateCompleted++
@@ -224,6 +224,23 @@ func (c *Collector) JobDiscarded(j *rt.Job, now des.Time) {
 	if c.recording {
 		c.recordDiscard(j, now)
 	}
+}
+
+// slotFlags is a response slot's release-time attribution.
+type slotFlags uint8
+
+// Response-slot attribution bits.
+const (
+	flagDegraded      slotFlags = 1 << iota // released inside an SM-degradation window
+	flagFleetDegraded                       // released while a fleet device was down
+)
+
+// appendSlot opens an unfilled response slot with the given attribution.
+// Every response slot — live releases and fast-forward replays alike — is
+// opened here, which keeps flags parallel to resp by construction.
+func (c *Collector) appendSlot(f slotFlags) {
+	c.resp = append(c.resp, math.NaN())
+	c.flags = append(c.flags, f)
 }
 
 // Summary folds the counters into the run summary. It may be called once the

@@ -1,8 +1,6 @@
 package metrics
 
 import (
-	"math"
-
 	"sgprs/internal/des"
 	"sgprs/internal/rt"
 )
@@ -101,7 +99,8 @@ func (c *Collector) Replay(k int, cycle des.Time) {
 				c.ends = append(c.ends, des.Never)
 				if op.inWin {
 					c.released++
-					c.resp = append(c.resp, math.NaN())
+					// Fast-forward-eligible runs raise neither flag.
+					c.appendSlot(0)
 				}
 			case opDone:
 				c.ends[op.slot+ds] = op.at + shift
