@@ -1,6 +1,9 @@
 package gpu
 
-import "sgprs/internal/des"
+import (
+	"sgprs/internal/des"
+	"sgprs/internal/stats"
+)
 
 // This file is the device half of the steady-state fast-forward layer
 // (DESIGN.md §12): the canonical encoding of all dynamic device state, the
@@ -144,14 +147,12 @@ func (d *Device) EndRecording() (completedDelta uint64) {
 // exact adds, with the exact operands, full simulation of k further cycles
 // would have performed (the operands are functions of the recurring state,
 // so they repeat verbatim; only the running totals evolve, exactly as they
-// would have).
+// would have). advance interleaves the two totals, but each is its own
+// fold, so each is extrapolated on its own by stats.FoldRepeat — in time
+// independent of k.
 func (d *Device) ReplayCycles(k int, completedDelta uint64) {
-	for c := 0; c < k; c++ {
-		for i, w := range d.recWork {
-			d.workDone += w
-			d.busySMTime += d.recBusy[i]
-		}
-	}
+	d.workDone = stats.FoldRepeat(d.workDone, d.recWork, k)
+	d.busySMTime = stats.FoldRepeat(d.busySMTime, d.recBusy, k)
 	d.completedKernels += uint64(k) * completedDelta
 }
 
