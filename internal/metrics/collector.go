@@ -97,6 +97,9 @@ type Collector struct {
 	recRespBase       int
 	recPerCycleStarts int
 	recPerCycleResp   int
+	// block is the run-length block Replay leaves (ff.go); the zero value
+	// means every slot is stored.
+	block ffBlock
 }
 
 // NewCollector builds a collector for the measurement window [warmUp,
@@ -122,6 +125,7 @@ func (c *Collector) Reset(warmUp, horizon des.Time) {
 	c.ends = c.ends[:0]
 	c.recording = false
 	c.recOps = c.recOps[:0]
+	c.block = ffBlock{}
 	c.degraded = false
 	c.degReleased, c.degCompletedReleased, c.degLateCompleted = 0, 0, 0
 	c.fleetDegraded = false
@@ -269,20 +273,30 @@ func (c *Collector) Summary() Summary {
 		s.Fleet.FleetDegradedDMR = float64(s.Fleet.FleetDegradedMissed) / float64(c.fltReleased)
 	}
 	// Compact the slots in release order — Evaluate's iteration order —
-	// and count SLO hits over the identical float comparisons.
+	// and count SLO hits over the identical float comparisons. A
+	// run-length block's response slots compact to resp[lo:hi] and recur
+	// b.reps more times in place, so its hits count that many times more.
+	b := c.block
 	resp := c.scratch[:0]
 	sloHits := 0
-	for _, r := range c.resp {
-		if !math.IsNaN(r) {
-			resp = append(resp, r)
-			if c.sloMS > 0 && r <= c.sloMS {
-				sloHits++
+	compact := func(slots []float64) {
+		for _, r := range slots {
+			if !math.IsNaN(r) {
+				resp = append(resp, r)
+				if c.sloMS > 0 && r <= c.sloMS {
+					sloHits++
+				}
 			}
 		}
 	}
+	compact(c.resp[:b.r0])
+	lo, hits := len(resp), sloHits
+	compact(c.resp[b.r0:b.r1])
+	hi := len(resp)
+	sloHits += b.reps * (sloHits - hits)
+	compact(c.resp[b.r1:])
 	c.scratch = resp
-	c.depthStarts = append(c.depthStarts[:0], c.starts...)
-	c.depthEnds = append(c.depthEnds[:0], c.ends...)
-	c.sorted = s.finish(resp, c.sorted[:0], c.depthStarts, c.depthEnds, c.sloMS, sloHits)
+	starts, ends, extra := c.depthIntervals()
+	c.sorted = s.finish(resp, respRun{lo: lo, hi: hi, reps: b.reps}, c.sorted[:0], starts, ends, extra, c.sloMS, sloHits)
 	return s
 }

@@ -180,7 +180,7 @@ func EvaluateSLO(jobs []*rt.Job, warmUp, horizon des.Time, sloMS float64) Summar
 			}
 		}
 	}
-	s.finish(resp, nil, starts, ends, sloMS, sloHits)
+	s.finish(resp, respRun{}, nil, starts, ends, 0, sloMS, sloHits)
 	return s
 }
 
@@ -199,17 +199,25 @@ func jobEnd(j *rt.Job) des.Time {
 	}
 }
 
+// respRun marks resp[lo:hi] as recurring reps more times right after itself
+// — the fast-forward collector's run-length block (ff.go). The zero value
+// is a plain sample.
+type respRun struct{ lo, hi, reps int }
+
 // finish folds the per-job accumulations into the summary's derived fields.
 // Both metric paths — EvaluateSLO over retained jobs and Collector.Summary
 // over streamed slots — call it with identically ordered inputs, so every
 // float operation happens in the same order and the results are
 // bit-identical (the house streaming-equivalence invariant).
 //
-// resp must be in release order; starts/ends are the backlog intervals of
-// all jobs (sorted in place — callers pass scratch). sortBuf, when
-// non-nil, is reused for the sorted response copy; the (possibly grown)
+// resp must be in release order, with run describing its run-length block
+// (none for EvaluateSLO): the mean sums the expanded sample in order, and
+// the quantiles read its order statistics, without expanding it. starts and
+// ends are the backlog intervals (sorted in place — callers pass scratch),
+// and extraDepth is integral the caller left out of them. sortBuf, when
+// non-nil, is reused for the sorted response copies; the (possibly grown)
 // buffer is returned so streaming callers can keep it across runs.
-func (s *Summary) finish(resp, sortBuf []float64, starts, ends []des.Time, sloMS float64, sloHits int) []float64 {
+func (s *Summary) finish(resp []float64, run respRun, sortBuf []float64, starts, ends []des.Time, extraDepth int64, sloMS float64, sloHits int) []float64 {
 	window := (s.Horizon - s.WarmUp).Seconds()
 	s.TotalFPS = float64(s.Completed) / window
 	if s.Released > 0 {
@@ -217,17 +225,20 @@ func (s *Summary) finish(resp, sortBuf []float64, starts, ends []des.Time, sloMS
 		s.DropRate = float64(s.Dropped) / float64(s.Released)
 	}
 	if len(resp) > 0 {
-		s.RespMeanMS = stats.Mean(resp)
+		s.RespMeanMS = stats.MeanRepeated(resp, run.lo, run.hi, run.reps)
 		sortBuf = append(sortBuf[:0], resp...)
-		slices.Sort(sortBuf)
-		s.RespP50MS = stats.QuantileSorted(sortBuf, 0.50)
-		s.RespP99MS = stats.QuantileSorted(sortBuf, 0.99)
-		s.RespP999MS = stats.QuantileSorted(sortBuf, 0.999)
-		s.RespMaxMS = stats.QuantileSorted(sortBuf, 1.0)
+		sortBuf = append(sortBuf, resp[run.lo:run.hi]...)
+		all, block := sortBuf[:len(resp)], sortBuf[len(resp):]
+		slices.Sort(all)
+		slices.Sort(block)
+		s.RespP50MS = stats.QuantileSortedRepeated(all, block, run.reps, 0.50)
+		s.RespP99MS = stats.QuantileSortedRepeated(all, block, run.reps, 0.99)
+		s.RespP999MS = stats.QuantileSortedRepeated(all, block, run.reps, 0.999)
+		s.RespMaxMS = stats.QuantileSortedRepeated(all, block, run.reps, 1.0)
 	}
 	integral, maxDepth := queueDepth(starts, ends, s.WarmUp, s.Horizon)
 	s.QueueDepthMax = maxDepth
-	s.QueueDepthMean = float64(integral) / float64(s.Horizon-s.WarmUp)
+	s.QueueDepthMean = float64(integral+extraDepth) / float64(s.Horizon-s.WarmUp)
 	if sloMS > 0 {
 		s.SLOMS = sloMS
 		if s.Released > 0 {

@@ -200,7 +200,7 @@ func (s *Session) runToHorizon(cfg RunConfig, scheduler sched.Scheduler, gen *wo
 		delta := des.Time(int64(D) * int64(k))
 		s.collector.Replay(k, D)
 		s.devs[0].ReplayCycles(k, completedDelta)
-		r.warpJobs(delta, k)
+		r.warpJobs(delta)
 		gen.Warp(delta, k*int(int64(D)/int64(period)))
 		s.eng.Warp(delta)
 		s.devs[0].Warp(delta)
@@ -320,13 +320,13 @@ func appendFlaggedInstant(buf []byte, set bool, at, now des.Time) []byte {
 	return buf
 }
 
-// warpJobs translates every live job k cycles forward: instants shift by
-// delta and collector slots retarget to the recurrence's (Job.Index is left
-// alone — it feeds only EDF tie-breaks, which compare jobs of equal age, and
-// diagnostics labels). Live jobs are reachable through the scheduler's
+// warpJobs translates every live job over the skipped cycles: instants shift
+// by delta and collector slots retarget to the recurrence's (Job.Index is
+// left alone — it feeds only EDF tie-breaks, which compare jobs of equal
+// age, and diagnostics labels). Live jobs are reachable through the scheduler's
 // flow-control maps and queues and through kernels the device still holds;
 // the two enumerations overlap, so visits deduplicate.
-func (r *ffRun) warpJobs(delta des.Time, k int) {
+func (r *ffRun) warpJobs(delta des.Time) {
 	if r.s.ffJobs == nil {
 		r.s.ffJobs = map[*rt.Job]bool{}
 	} else {
@@ -339,7 +339,7 @@ func (r *ffRun) warpJobs(delta des.Time, k int) {
 		r.s.ffJobs[j] = true
 		j.Release += delta
 		j.Deadline += delta
-		r.s.collector.ShiftSlots(j, k)
+		r.s.collector.ShiftSlots(j)
 		for _, st := range j.Stages {
 			st.Deadline += delta
 			if st.Ready {

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -110,4 +111,40 @@ func FuzzFoldRepeat(f *testing.F) {
 	f.Fuzz(func(t *testing.T, s, a, b, c float64, k uint16) {
 		checkFold(t, "fuzz", s, []float64{a, b, c}, int(k))
 	})
+}
+
+// TestRepeatedSampleMatchesExpanded pins MeanRepeated and
+// QuantileSortedRepeated to Mean and QuantileSorted over the expanded
+// sample, bit for bit, including duplicate values across the block and the
+// rest.
+func TestRepeatedSampleMatchesExpanded(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 500; i++ {
+		xs := make([]float64, 1+rng.Intn(20))
+		for j := range xs {
+			xs[j] = float64(rng.Intn(40)) + rng.Float64()*float64(rng.Intn(2))
+		}
+		lo := rng.Intn(len(xs))
+		hi := lo + rng.Intn(len(xs)-lo+1)
+		reps := rng.Intn(50)
+		expanded := append([]float64(nil), xs[:hi]...)
+		for c := 0; c < reps; c++ {
+			expanded = append(expanded, xs[lo:hi]...)
+		}
+		expanded = append(expanded, xs[hi:]...)
+		if got, want := MeanRepeated(xs, lo, hi, reps), Mean(expanded); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("MeanRepeated(%v, %d, %d, %d) = %v, expanded mean %v", xs, lo, hi, reps, got, want)
+		}
+		a := append([]float64(nil), xs...)
+		b := append([]float64(nil), xs[lo:hi]...)
+		slices.Sort(a)
+		slices.Sort(b)
+		slices.Sort(expanded)
+		for _, q := range []float64{0, 0.1, 0.5, 0.99, 0.999, 1} {
+			got, want := QuantileSortedRepeated(a, b, reps, q), QuantileSorted(expanded, q)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("QuantileSortedRepeated(%v, %v, %d, %v) = %v, expanded %v", a, b, reps, q, got, want)
+			}
+		}
+	}
 }

@@ -68,35 +68,89 @@ func Quantile(xs []float64, q float64) float64 {
 // of paying Quantile's copy-and-sort per call. Same interpolation, same
 // panics — Quantile delegates here, so the two cannot drift.
 func QuantileSorted(s []float64, q float64) float64 {
-	if len(s) == 0 {
+	return quantile(len(s), q, func(i int) float64 { return s[i] })
+}
+
+// QuantileSortedRepeated is QuantileSorted over the multiset union of a and
+// w further copies of b, both ascending, without materialising it: the same
+// interpolation over the same order statistics, each found by binary search.
+// It reads a run-length sample — a block of values that recurs many times —
+// in time independent of the repetition count.
+func QuantileSortedRepeated(a, b []float64, w int, q float64) float64 {
+	return quantile(len(a)+w*len(b), q, func(r int) float64 { return rankRepeated(a, b, w, r) })
+}
+
+// quantile interpolates the q-quantile of an ascending sample of n values
+// whose order statistic i is at(i).
+func quantile(n int, q float64, at func(i int) float64) float64 {
+	if n == 0 {
 		panic("stats: quantile of empty slice")
 	}
 	if q < 0 || q > 1 {
 		panic(fmt.Sprintf("stats: quantile %v out of [0,1]", q))
 	}
-	if len(s) == 1 {
-		return s[0]
+	if n == 1 {
+		return at(0)
 	}
-	pos := q * float64(len(s)-1)
+	pos := q * float64(n-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
-		return s[lo]
+		return at(lo)
 	}
 	frac := pos - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac
+	return at(lo)*(1-frac) + at(hi)*frac
+}
+
+// rankRepeated returns order statistic r of a ∪ w×b (both ascending): the
+// smallest value with more than r sample values at or below it.
+func rankRepeated(a, b []float64, w, r int) float64 {
+	if w == 0 || len(b) == 0 {
+		return a[r]
+	}
+	atOrBelow := func(v float64) int {
+		return upperBound(a, v) + w*upperBound(b, v)
+	}
+	i := sort.Search(len(a), func(i int) bool { return atOrBelow(a[i]) > r })
+	j := sort.Search(len(b), func(j int) bool { return atOrBelow(b[j]) > r })
+	switch {
+	case i == len(a):
+		return b[j]
+	case j == len(b) || a[i] <= b[j]:
+		return a[i]
+	default:
+		return b[j]
+	}
+}
+
+// upperBound counts the values of ascending s at or below v.
+func upperBound(s []float64, v float64) int {
+	return sort.Search(len(s), func(i int) bool { return s[i] > v })
 }
 
 // Mean reports the arithmetic mean of xs (0 for empty input).
 func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
+	return MeanRepeated(xs, 0, 0, 0)
+}
+
+// MeanRepeated is Mean over xs with the block xs[lo:hi] occurring reps more
+// times right after itself, summed in that order — the exact bits the
+// expanded slice would give, in time independent of reps (FoldRepeat sums
+// the repeated block). 0 for empty input.
+func MeanRepeated(xs []float64, lo, hi, reps int) float64 {
+	n := len(xs) + reps*(hi-lo)
+	if n == 0 {
 		return 0
 	}
 	var sum float64
-	for _, x := range xs {
+	for _, x := range xs[:hi] {
 		sum += x
 	}
-	return sum / float64(len(xs))
+	sum = FoldRepeat(sum, xs[lo:hi], reps)
+	for _, x := range xs[hi:] {
+		sum += x
+	}
+	return sum / float64(n)
 }
 
 // Histogram counts values into uniform-width bins over [lo, hi]. Values
