@@ -8,7 +8,7 @@ GO ?= go
 ## snapshot bench-json rewrites. Bump BENCH_CURRENT (and, when a baseline is
 ## re-frozen, BENCH_BASELINE) here instead of editing the recipes.
 BENCH_BASELINE ?= BENCH_5.json
-BENCH_CURRENT ?= BENCH_7.json
+BENCH_CURRENT ?= BENCH_14.json
 
 .PHONY: build test race bench bench-json bench-gate bench-long bench-ff lint vuln experiments examples fuzz-smoke ci
 

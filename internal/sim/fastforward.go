@@ -320,10 +320,10 @@ func appendFlaggedInstant(buf []byte, set bool, at, now des.Time) []byte {
 	return buf
 }
 
-// warpJobs translates every live job over the skipped cycles: instants shift
-// by delta and collector slots retarget to the recurrence's (Job.Index is
-// left alone — it feeds only EDF tie-breaks, which compare jobs of equal
-// age, and diagnostics labels). Live jobs are reachable through the scheduler's
+// warpJobs translates every live job k cycles forward: instants shift by
+// delta and collector slots retarget to the recurrence's (Job.Index is left
+// alone — it feeds only EDF tie-breaks, which compare jobs of equal age, and
+// diagnostics labels). Live jobs are reachable through the scheduler's
 // flow-control maps and queues and through kernels the device still holds;
 // the two enumerations overlap, so visits deduplicate.
 func (r *ffRun) warpJobs(delta des.Time) {
