@@ -17,7 +17,7 @@ import "math"
 // lands on the grid point nearest to it: RN(s+w) = (m + round(w/u))·u, where
 // a tie (w/u an integer plus exactly ½) goes to the even multiple. So a pass
 // that starts at m adds an integer number of ulps that depends only on the
-// parity of m, and while the total stays ≤ 2^53−1 a run of c passes is
+// parity of m, and while m stays ≤ 2^53−1 a run of c passes is
 // integer arithmetic over a two-state parity automaton — one multiply, not
 // c·len(ops) float adds. The pass that would cross into the next binade runs
 // serially, and the grid is re-derived there.
@@ -27,9 +27,6 @@ import "math"
 // non-finite or ≥ 2^(e+1) operand. A pass that leaves s unchanged leaves it
 // unchanged for good, so even a fallback stops at the first fixed point.
 func FoldRepeat(s float64, ops []float64, k int) float64 {
-	if len(ops) == 0 {
-		return s
-	}
 	for k > 0 {
 		if g, ok := newUlpGrid(s, ops); ok {
 			var passes int
