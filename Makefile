@@ -83,10 +83,8 @@ vuln:
 experiments:
 	$(GO) run ./cmd/sgprs-sweep -list
 
-## examples: build every example, then smoke-run the quickstart, the
-## registry-driven experiment example, the fault-injection and
-## fleet-failover walkthroughs, the pivot search, and the parallel sweep
-## (the CI examples gate).
+## examples: build every example, then smoke-run each of them and a short
+## traced sgprs-sim run (the CI examples gate).
 examples:
 	$(GO) build ./examples/...
 	$(GO) run ./examples/quickstart
@@ -95,6 +93,12 @@ examples:
 	$(GO) run ./examples/fleet
 	$(GO) run ./examples/pivot
 	$(GO) run ./examples/parallelsweep
+	$(GO) run ./examples/multitenant
+	$(GO) run ./examples/energy
+	$(GO) run ./examples/tracereplay
+	$(GO) run ./examples/oversubscription
+	tmp=$$(mktemp -d) && $(GO) run ./cmd/sgprs-sim -n 4 -horizon 0.5 -warmup 0.05 -o "$$tmp/t.json"; \
+		status=$$?; rm -rf "$$tmp"; exit $$status
 
 ## fuzz-smoke: a short bounded run of every fuzz target — enough to catch
 ## parser regressions on each push without burning CI minutes. Targets are

@@ -17,21 +17,20 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"os/signal"
-	"strconv"
+	"slices"
 	"strings"
 	"syscall"
 
 	"sgprs/internal/analysis"
+	"sgprs/internal/config"
 	"sgprs/internal/des"
 	"sgprs/internal/dnn"
 	"sgprs/internal/exp"
-	"sgprs/internal/fault"
 	"sgprs/internal/gpu"
 	"sgprs/internal/memo"
 	"sgprs/internal/profile"
@@ -56,19 +55,12 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		for _, s := range exp.List() {
-			axes := make([]string, len(s.Axes))
-			for i, a := range s.Axes {
-				axes[i] = a.String()
-			}
-			fmt.Printf("%-18s %-34s %s\n", s.Name, exp.Summarize(s), s.Description)
-			if len(axes) > 0 {
-				fmt.Printf("%-18s   axes: %s\n", "", strings.Join(axes, " "))
-			}
+		if err := exp.WriteRegistry(os.Stdout); err != nil {
+			log.Fatal(err)
 		}
 		return
 	}
-	pool, err := parsePool(*contexts)
+	pool, err := config.ParseInts(*contexts, "SM allocation")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -97,10 +89,10 @@ func main() {
 	// sweep below: the task shape is measured once for both.
 	prof := profile.New(model, dev)
 	if *noCache {
-		if err := prof.ProfileTask(task, minOf(pool)); err != nil {
+		if err := prof.ProfileTask(task, slices.Min(pool)); err != nil {
 			log.Fatal(err)
 		}
-	} else if err := memo.Default().ProfileTasks(prof, []*rt.Task{task}, minOf(pool)); err != nil {
+	} else if err := memo.Default().ProfileTasks(prof, []*rt.Task{task}, slices.Min(pool)); err != nil {
 		log.Fatal(err)
 	}
 	load, err := analysis.FromTask(task)
@@ -128,7 +120,7 @@ func main() {
 		}
 		return
 	}
-	fc, err := parseFaults(*faults)
+	fc, err := config.LoadFaults(*faults)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -219,51 +211,4 @@ func fromExperiment(name string, n *int, fps *float64, stages *int) ([]int, erro
 		return append([]int(nil), v.ContextSMs...), nil
 	}
 	return nil, fmt.Errorf("experiment %q has no SGPRS variant with a context pool", name)
-}
-
-// parseFaults translates the -faults flag — inline JSON (recognised by its
-// leading '{') or a file path — into a validated fault configuration; empty
-// means none.
-func parseFaults(arg string) (*fault.Config, error) {
-	if arg == "" {
-		return nil, nil
-	}
-	data := []byte(arg)
-	if !strings.HasPrefix(strings.TrimSpace(arg), "{") {
-		b, err := os.ReadFile(arg)
-		if err != nil {
-			return nil, fmt.Errorf("faults config: %w", err)
-		}
-		data = b
-	}
-	var fc fault.Config
-	if err := json.Unmarshal(data, &fc); err != nil {
-		return nil, fmt.Errorf("faults config: %w", err)
-	}
-	if err := fc.Validate(); err != nil {
-		return nil, err
-	}
-	return &fc, nil
-}
-
-func parsePool(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("invalid SM allocation %q", part)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-func minOf(xs []int) int {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }

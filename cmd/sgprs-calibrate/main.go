@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"os/signal"
 	"syscall"
@@ -103,8 +104,8 @@ func main() {
 		fps := metrics.SaturationFPS(series)
 		pivot := metrics.PivotPoint(series)
 		// Relative FPS error plus one "FPS-percent" per pivot step off.
-		score := abs(fps-*targetFPS) / *targetFPS * 100
-		score += abs(float64(pivot - *targetPivot))
+		score := math.Abs(fps-*targetFPS) / *targetFPS * 100
+		score += math.Abs(float64(pivot - *targetPivot))
 		fmt.Printf("%8.1f %10.1f %8d %8.2f\n", cap, fps, pivot, score)
 		if score < best.score {
 			best = point{cap: cap, fps: fps, pivot: pivot, score: score}
@@ -126,11 +127,4 @@ func main() {
 	if gridErr != nil {
 		os.Exit(1)
 	}
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

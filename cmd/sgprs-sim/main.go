@@ -1,20 +1,25 @@
 // Command sgprs-sim executes a single simulation run and prints its metrics:
 // total FPS, deadline miss rate, response-time statistics, and device
-// utilisation.
+// utilisation. With -o it also records every kernel span and writes the
+// execution timeline as Chrome trace JSON (open in chrome://tracing or
+// https://ui.perfetto.dev) or CSV; keep such runs short, traces grow fast.
 //
 // Usage:
 //
 //	sgprs-sim -sched sgprs -contexts 51,51 -n 24 [-horizon 10] [-seed 1]
+//	sgprs-sim -n 12 -horizon 0.5 -warmup 0.05 -o trace.json
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"strconv"
+	"os"
 	"strings"
 
+	"sgprs/internal/config"
 	"sgprs/internal/sim"
+	"sgprs/internal/trace"
 )
 
 func main() {
@@ -29,22 +34,19 @@ func main() {
 	warmup := flag.Float64("warmup", 1, "warm-up seconds excluded from metrics")
 	seed := flag.Uint64("seed", 1, "simulation seed")
 	stagger := flag.Bool("stagger", false, "stagger task release offsets across the period")
+	out := flag.String("o", "", "write the kernel trace to this file (.json for Chrome trace, .csv for CSV; keep -horizon short)")
 	flag.Parse()
 
-	kind := sim.KindSGPRS
-	switch *schedName {
-	case "sgprs":
-	case "naive":
-		kind = sim.KindNaive
-	default:
-		log.Fatalf("unknown scheduler %q", *schedName)
+	kind, err := sim.ParseKind(*schedName)
+	if err != nil {
+		log.Fatal(err)
 	}
-	pool, err := parsePool(*contexts)
+	pool, err := config.ParseInts(*contexts, "SM allocation")
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	res, err := sim.Run(sim.RunConfig{
+	cfg := sim.RunConfig{
 		Kind:       kind,
 		Name:       *schedName,
 		ContextSMs: pool,
@@ -55,7 +57,13 @@ func main() {
 		HorizonSec: *horizon,
 		WarmUpSec:  *warmup,
 		Seed:       *seed,
-	})
+	}
+	var rec *trace.Recorder
+	if *out != "" {
+		rec = trace.NewRecorder()
+		cfg.Observer = rec
+	}
+	res, err := sim.Run(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -73,16 +81,22 @@ func main() {
 	fmt.Printf("device util      %.1f%%\n", res.DeviceUtilization*100)
 	fmt.Printf("energy           %.1f J (avg %.1f W, %.2f fps/W)\n",
 		res.EnergyJoules, res.AvgPowerW, res.FPSPerWatt)
-}
 
-func parsePool(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("invalid SM allocation %q", part)
+	if rec != nil {
+		f, err := os.Create(*out)
+		if err != nil {
+			log.Fatal(err)
 		}
-		out = append(out, v)
+		write := rec.WriteChromeTrace
+		if strings.HasSuffix(*out, ".csv") {
+			write = rec.WriteCSV
+		}
+		if err := write(f); err != nil {
+			log.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("wrote %d kernel spans to %s (run: %s)\n", len(rec.Spans()), *out, res.Summary)
 	}
-	return out, nil
 }

@@ -16,9 +16,8 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
-	"strings"
 
+	"sgprs/internal/config"
 	"sgprs/internal/dnn"
 	"sgprs/internal/gpu"
 	"sgprs/internal/profile"
@@ -67,16 +66,18 @@ func main() {
 	}
 }
 
+// parseSMs decodes the -sms list: SM counts from 1 to the device's total.
 func parseSMs(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 || n > speedup.DeviceSMs {
-			return nil, fmt.Errorf("invalid SM count %q (device has %d SMs)", part, speedup.DeviceSMs)
-		}
-		out = append(out, n)
+	counts, err := config.ParseInts(s, "SM count")
+	if err != nil {
+		return nil, fmt.Errorf("%w (device has %d SMs)", err, speedup.DeviceSMs)
 	}
-	return out, nil
+	for _, n := range counts {
+		if n > speedup.DeviceSMs {
+			return nil, fmt.Errorf("invalid SM count %d (device has %d SMs)", n, speedup.DeviceSMs)
+		}
+	}
+	return counts, nil
 }
 
 func measure(model *speedup.Model, smCounts []int, workMS float64) (*report.Figure1, error) {

@@ -43,7 +43,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -52,12 +51,10 @@ import (
 	"strconv"
 	"strings"
 	"syscall"
-	"text/tabwriter"
 
 	"sgprs/internal/cluster"
 	"sgprs/internal/config"
 	"sgprs/internal/exp"
-	"sgprs/internal/fault"
 	"sgprs/internal/memo"
 	"sgprs/internal/report"
 	"sgprs/internal/rt"
@@ -89,11 +86,13 @@ func main() {
 	devices := flag.Int("devices", 0, "fleet size: run every variant on N devices behind the dispatcher (0 = leave the spec as declared; 1 = force single-device)")
 	placement := flag.String("placement", "", "fleet chain-homing policy: bin-pack|context-fit|load-steal (needs a fleet: -devices > 1 or a fleet experiment)")
 	failover := flag.String("failover", "", "device-crash policy: migrate|retry|shed (needs a fleet)")
-	admit := flag.Float64("admit", -1, "fleet admission ceiling: shed new releases while surviving capacity is below this utilization fraction (-1 = leave the spec as declared)")
+	admit := flag.Float64("admit", 0, "fleet admission ceiling: shed new releases while surviving capacity is below this utilization fraction (unset = leave the spec as declared, 0 = none)")
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	if *list {
-		if err := writeRegistry(os.Stdout); err != nil {
+		if err := exp.WriteRegistry(os.Stdout); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -111,17 +110,17 @@ func main() {
 		}
 	}
 
-	spec, err := resolveSpec(*cfgPath, *experiment, *scenario, *tasks, *horizon, *seed)
+	spec, err := resolveSpec(set, *cfgPath, *experiment, *scenario, *tasks, *horizon, *seed)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := applyTraffic(spec, *arrival, *tracePath, *rates, *slo, *arrivalPeriod); err != nil {
+	if err := applyTraffic(spec, set, *arrival, *tracePath, *rates, *slo, *arrivalPeriod); err != nil {
 		log.Fatal(err)
 	}
 	if err := applyFaults(spec, *faults); err != nil {
 		log.Fatal(err)
 	}
-	if err := applyFleet(spec, *devices, *placement, *failover, *admit); err != nil {
+	if err := applyFleet(spec, set, *devices, *placement, *failover, *admit); err != nil {
 		log.Fatal(err)
 	}
 
@@ -163,8 +162,9 @@ func main() {
 
 // resolveSpec picks the experiment to run: a JSON file, a registry entry
 // (with explicit -tasks/-horizon/-seed flags overriding the spec), or the
-// classic scenario flags compiled into the equivalent spec.
-func resolveSpec(cfgPath, experiment string, scenario int, tasks string, horizon float64, seed uint64) (*exp.Spec, error) {
+// classic scenario flags compiled into the equivalent spec. set holds the
+// names of the flags given on the command line.
+func resolveSpec(set map[string]bool, cfgPath, experiment string, scenario int, tasks string, horizon float64, seed uint64) (*exp.Spec, error) {
 	if cfgPath != "" {
 		e, err := config.Load(cfgPath)
 		if err != nil {
@@ -172,8 +172,10 @@ func resolveSpec(cfgPath, experiment string, scenario int, tasks string, horizon
 		}
 		return e.Spec(cfgPath)
 	}
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	counts, err := parseCounts(tasks)
+	if err != nil {
+		return nil, err
+	}
 	if experiment != "" {
 		spec, ok := exp.Lookup(experiment)
 		if !ok {
@@ -183,20 +185,7 @@ func resolveSpec(cfgPath, experiment string, scenario int, tasks string, horizon
 		// Explicit flags override the registered defaults on this
 		// run's clone; the registry itself is untouched.
 		if set["tasks"] {
-			counts, err := parseCounts(tasks)
-			if err != nil {
-				return nil, err
-			}
-			replaced := false
-			for i := range spec.Axes {
-				if spec.Axes[i].Kind == exp.AxisTasks {
-					spec.Axes[i] = exp.Tasks(counts...)
-					replaced = true
-				}
-			}
-			if !replaced {
-				spec.Axes = append(spec.Axes, exp.Tasks(counts...))
-			}
+			setAxis(spec, exp.Tasks(counts...))
 		}
 		if set["horizon"] {
 			// A horizon axis would overwrite the per-variant field
@@ -217,18 +206,33 @@ func resolveSpec(cfgPath, experiment string, scenario int, tasks string, horizon
 		}
 		return spec, nil
 	}
-	counts, err := parseCounts(tasks)
-	if err != nil {
-		return nil, err
-	}
 	return exp.Scenario(scenario, counts, horizon, seed)
+}
+
+// setAxis replaces the spec's axis of a's kind (a spec has at most one of
+// each, exp.Spec.Compile enforces it), or appends a when there is none.
+func setAxis(spec *exp.Spec, a exp.Axis) {
+	for i := range spec.Axes {
+		if spec.Axes[i].Kind == a.Kind {
+			spec.Axes[i] = a
+			return
+		}
+	}
+	spec.Axes = append(spec.Axes, a)
 }
 
 // applyTraffic overlays the open-loop traffic flags on the resolved spec:
 // the arrival process (or trace) on every variant, the SLO, and the
-// arrival-rate axis. Empty flags leave the spec untouched, so registered
-// experiments with their own arrivals run as declared.
-func applyTraffic(spec *exp.Spec, arrival, tracePath, rates string, sloMS, periodSec float64) error {
+// arrival-rate axis. Flags not in set leave the spec untouched, so
+// registered experiments with their own arrivals run as declared; a flag
+// that would have no effect is an error.
+func applyTraffic(spec *exp.Spec, set map[string]bool, arrival, tracePath, rates string, sloMS, periodSec float64) error {
+	if set["arrival-period"] && (arrival == "" || tracePath != "") {
+		return fmt.Errorf("-arrival-period needs a bursty or diurnal -arrival, and no -trace (which replaces -arrival)")
+	}
+	if set["slo"] && !(sloMS >= 0) {
+		return fmt.Errorf("-slo %v must be a non-negative number of milliseconds", sloMS)
+	}
 	var proc workload.Arrival
 	switch {
 	case tracePath != "":
@@ -248,7 +252,7 @@ func applyTraffic(spec *exp.Spec, arrival, tracePath, rates string, sloMS, perio
 		if proc != nil {
 			spec.Variants[i].Arrival = proc
 		}
-		if sloMS > 0 {
+		if set["slo"] {
 			spec.Variants[i].SLOMS = sloMS
 		}
 	}
@@ -261,43 +265,19 @@ func applyTraffic(spec *exp.Spec, arrival, tracePath, rates string, sloMS, perio
 			}
 			factors = append(factors, v)
 		}
-		replaced := false
-		for i := range spec.Axes {
-			if spec.Axes[i].Kind == exp.AxisRate {
-				spec.Axes[i] = exp.Rate(factors...)
-				replaced = true
-			}
-		}
-		if !replaced {
-			spec.Axes = append(spec.Axes, exp.Rate(factors...))
-		}
+		setAxis(spec, exp.Rate(factors...))
 	}
 	return nil
 }
 
-// applyFaults overlays the -faults flag on every variant of the resolved
-// spec: the argument is either inline JSON (recognised by its leading '{')
-// or a path to a JSON file holding a fault.Config. Empty leaves the spec
+// applyFaults overlays the -faults flag (config.LoadFaults: inline JSON or
+// a file path) on every variant of the resolved spec. Empty leaves the spec
 // untouched, so registered experiments with their own fault blocks run as
 // declared. Each variant gets its own deep copy — experiment axes mutate
 // per-cell clones and must never reach a shared block.
 func applyFaults(spec *exp.Spec, arg string) error {
-	if arg == "" {
-		return nil
-	}
-	data := []byte(arg)
-	if !strings.HasPrefix(strings.TrimSpace(arg), "{") {
-		b, err := os.ReadFile(arg)
-		if err != nil {
-			return fmt.Errorf("faults config: %w", err)
-		}
-		data = b
-	}
-	var fc fault.Config
-	if err := json.Unmarshal(data, &fc); err != nil {
-		return fmt.Errorf("faults config: %w", err)
-	}
-	if err := fc.Validate(); err != nil {
+	fc, err := config.LoadFaults(arg)
+	if err != nil || fc == nil {
 		return err
 	}
 	for i := range spec.Variants {
@@ -307,13 +287,17 @@ func applyFaults(spec *exp.Spec, arg string) error {
 }
 
 // applyFleet overlays the fleet flags on every variant of the resolved spec
-// (DESIGN.md §15). Zero values leave the spec untouched, so fleet experiments
-// (fleet-failover, fleet-shootout) run as declared; -devices 1 explicitly
-// collapses a fleet spec back to single-device runs, clearing the fleet-only
-// options so sim.Normalize accepts the result. A devices axis keeps priority
-// over the flag — the axis overwrites the field per grid cell anyway.
-func applyFleet(spec *exp.Spec, devices int, placement, failover string, admit float64) error {
-	if devices == 0 && placement == "" && failover == "" && admit < 0 {
+// (DESIGN.md §15). Zero values, and an -admit not in set, leave the spec
+// untouched, so fleet experiments (fleet-failover, fleet-shootout) run as
+// declared; -devices 1 explicitly collapses a fleet spec back to
+// single-device runs, clearing the fleet-only options so sim.Normalize
+// accepts the result. A devices axis keeps priority over the flag — the
+// axis overwrites the field per grid cell anyway.
+func applyFleet(spec *exp.Spec, set map[string]bool, devices int, placement, failover string, admit float64) error {
+	if set["admit"] && !(admit >= 0 && admit <= 1) {
+		return fmt.Errorf("-admit %v must be a utilization fraction in [0, 1]", admit)
+	}
+	if devices == 0 && placement == "" && failover == "" && !set["admit"] {
 		return nil
 	}
 	pl, err := cluster.ParsePlacement(placement)
@@ -343,7 +327,7 @@ func applyFleet(spec *exp.Spec, devices int, placement, failover string, admit f
 		if failover != "" {
 			v.Failover = fo
 		}
-		if admit >= 0 {
+		if set["admit"] {
 			v.AdmitCeiling = admit
 		}
 	}
@@ -351,13 +335,15 @@ func applyFleet(spec *exp.Spec, devices int, placement, failover string, admit f
 }
 
 // parseArrival translates the -arrival flag ("poisson", "poisson:45",
-// "bursty:60", ...) into a process. periodSec is the -arrival-period flag:
-// the diurnal cycle length, or the bursty on+off window pair (split into
-// equal halves); zero keeps the historical defaults (5 s diurnal cycle,
-// 1 s + 1 s bursty windows). Richer shapes (MMPP, custom windows) go
-// through a -config file's arrival block.
+// "bursty:60", ...) into a config.Arrival block and builds it, so the flag
+// and a -config file's arrival block share one decoder. periodSec is the
+// -arrival-period flag: the diurnal cycle length, or the bursty on+off
+// window pair (split into equal halves); zero keeps the historical defaults
+// (5 s diurnal cycle, 1 s + 1 s bursty windows). Richer shapes (MMPP,
+// custom windows) go through a -config file's arrival block.
 func parseArrival(s string, periodSec float64) (workload.Arrival, error) {
 	kind, rest, _ := strings.Cut(s, ":")
+	kind = strings.TrimSpace(kind)
 	rate := 0.0
 	if rest != "" {
 		v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
@@ -369,48 +355,24 @@ func parseArrival(s string, periodSec float64) (workload.Arrival, error) {
 	if periodSec < 0 {
 		return nil, fmt.Errorf("invalid arrival period %v (must be >= 0)", periodSec)
 	}
-	k := strings.TrimSpace(kind)
-	if periodSec > 0 && k != "bursty" && k != "diurnal" {
-		return nil, fmt.Errorf("-arrival-period applies only to bursty and diurnal arrivals, not %q", k)
-	}
-	switch k {
-	case "periodic":
-		return workload.Periodic{Rate: rate}, nil
-	case "poisson":
-		return workload.Poisson{Rate: rate}, nil
-	case "bursty":
-		on := 1.0
-		if periodSec > 0 {
-			on = periodSec / 2
-		}
-		return workload.Bursty{OnSec: on, OffSec: on, Rate: rate}, nil
-	case "diurnal":
-		period := 5.0
-		if periodSec > 0 {
-			period = periodSec
-		}
-		return workload.Diurnal{PeriodSec: period, MaxRate: rate}, nil
-	default:
+	shaped := kind == "bursty" || kind == "diurnal"
+	if !shaped && kind != "periodic" && kind != "poisson" {
 		return nil, fmt.Errorf("unknown arrival %q (want periodic, poisson, bursty, or diurnal; mmpp and traces via -config/-trace)", kind)
 	}
-}
-
-// writeRegistry renders the experiment registry as an aligned table,
-// including each experiment's axes with their value ranges.
-func writeRegistry(w *os.File) error {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprint(tw, "experiment\tshape\taxes\tdescription\t\n")
-	for _, s := range exp.List() {
-		axes := make([]string, len(s.Axes))
-		for i, a := range s.Axes {
-			axes[i] = a.String()
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t\n",
-			s.Name, exp.Summarize(s), strings.Join(axes, " "), s.Description)
+	if periodSec > 0 && !shaped {
+		return nil, fmt.Errorf("-arrival-period applies only to bursty and diurnal arrivals, not %q", kind)
 	}
-	return tw.Flush()
+	// Build reads only its kind's fields: the rate is also the diurnal
+	// peak, and the period sets both the diurnal cycle and the bursty pair.
+	a := config.Arrival{Kind: kind, Rate: rate, MaxRate: rate, OnSec: 1, OffSec: 1, PeriodSec: 5}
+	if periodSec > 0 {
+		a.OnSec, a.OffSec, a.PeriodSec = periodSec/2, periodSec/2, periodSec
+	}
+	return a.Build()
 }
 
+// parseCounts decodes the -tasks flag: an "a..b" range or a
+// comma-separated list of task counts.
 func parseCounts(s string) ([]int, error) {
 	if a, b, ok := strings.Cut(s, ".."); ok {
 		lo, err1 := strconv.Atoi(strings.TrimSpace(a))
@@ -424,13 +386,5 @@ func parseCounts(s string) ([]int, error) {
 		}
 		return out, nil
 	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("invalid task count %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
+	return config.ParseInts(s, "task count")
 }

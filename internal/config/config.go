@@ -1,17 +1,21 @@
 // Package config loads and saves experiment configurations as JSON, so
-// sweeps are reproducible artifacts rather than command-line folklore.
+// sweeps are reproducible artifacts rather than command-line folklore. The
+// CLIs decode their list and fault flags with its ParseInts and LoadFaults.
 package config
 
 import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
 
 	"sgprs/internal/cluster"
 	"sgprs/internal/exp"
 	"sgprs/internal/fault"
 	"sgprs/internal/rt"
 	"sgprs/internal/sim"
+	"sgprs/internal/speedup"
 	"sgprs/internal/workload"
 )
 
@@ -172,8 +176,8 @@ func (e *Experiment) Normalize() error {
 	}
 	for i := range e.Variants {
 		v := &e.Variants[i]
-		if v.Kind != "sgprs" && v.Kind != "naive" {
-			return fmt.Errorf("config: variant %q has unknown kind %q", v.Name, v.Kind)
+		if _, err := sim.ParseKind(v.Kind); err != nil {
+			return fmt.Errorf("config: variant %q: %w", v.Name, err)
 		}
 		if v.Name == "" {
 			return fmt.Errorf("config: variant %d needs a name", i)
@@ -235,9 +239,9 @@ func (e *Experiment) RunConfigs() ([]sim.RunConfig, error) {
 	}
 	var out []sim.RunConfig
 	for _, v := range e.Variants {
-		kind := sim.KindSGPRS
-		if v.Kind == "naive" {
-			kind = sim.KindNaive
+		kind, err := sim.ParseKind(v.Kind)
+		if err != nil {
+			return nil, fmt.Errorf("config: variant %q: %w", v.Name, err)
 		}
 		pool := v.ContextSMs
 		if len(pool) == 0 {
@@ -249,7 +253,7 @@ func (e *Experiment) RunConfigs() ([]sim.RunConfig, error) {
 			if kind == sim.KindNaive {
 				os = 1.0 // the naive baseline tiles the device
 			}
-			pool = sim.ContextPool(np, os, 68)
+			pool = sim.ContextPool(np, os, speedup.DeviceSMs)
 		}
 		out = append(out, sim.RunConfig{
 			Kind:         kind,
@@ -306,6 +310,47 @@ func Load(path string) (*Experiment, error) {
 		return nil, err
 	}
 	return &e, nil
+}
+
+// ParseInts decodes a comma-separated list of integers, each at least 1 —
+// the form of the CLIs' context-pool, task-count, and SM-count flags. what
+// names an element in errors ("SM allocation", "task count"), and the bad
+// element is quoted.
+func ParseInts(s, what string) ([]int, error) {
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || v < 1 {
+			return nil, fmt.Errorf("invalid %s %q", what, part)
+		}
+		out = append(out, v)
+	}
+	return out, nil
+}
+
+// LoadFaults decodes a -faults argument: inline JSON (recognised by its
+// leading '{') or a path to a JSON file, holding a fault.Config. The block
+// is validated; an empty argument means no faults (nil).
+func LoadFaults(arg string) (*fault.Config, error) {
+	if arg == "" {
+		return nil, nil
+	}
+	data := []byte(arg)
+	if !strings.HasPrefix(strings.TrimSpace(arg), "{") {
+		b, err := os.ReadFile(arg)
+		if err != nil {
+			return nil, fmt.Errorf("faults config: %w", err)
+		}
+		data = b
+	}
+	var fc fault.Config
+	if err := json.Unmarshal(data, &fc); err != nil {
+		return nil, fmt.Errorf("faults config: %w", err)
+	}
+	if err := fc.Validate(); err != nil {
+		return nil, err
+	}
+	return &fc, nil
 }
 
 // Save writes the experiment as indented JSON.

@@ -273,3 +273,23 @@ func TestSeriesFoldsByLabel(t *testing.T) {
 		t.Error("fps axis had no effect on results")
 	}
 }
+
+// TestWriteRegistry: the -list table has a header and one row per
+// registered experiment, in registration order, each with its shape.
+func TestWriteRegistry(t *testing.T) {
+	var b strings.Builder
+	if err := WriteRegistry(&b); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(b.String(), "\n"), "\n")
+	specs := List()
+	if len(lines) != len(specs)+1 || !strings.HasPrefix(lines[0], "experiment ") {
+		t.Fatalf("registry table has %d lines for %d specs:\n%s", len(lines), len(specs), b.String())
+	}
+	for i, s := range specs {
+		row := lines[i+1]
+		if !strings.HasPrefix(row, s.Name+" ") || !strings.Contains(row, Summarize(s)) {
+			t.Errorf("row %d = %q, want %s with shape %q", i+1, row, s.Name, Summarize(s))
+		}
+	}
+}

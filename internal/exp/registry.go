@@ -2,9 +2,11 @@ package exp
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"sync"
+	"text/tabwriter"
 )
 
 // registry is the process-wide experiment catalogue. Specs are stored as
@@ -95,4 +97,21 @@ func Summarize(s *Spec) string {
 		axes = append(axes, "fixed")
 	}
 	return fmt.Sprintf("%d variants × %s = %d runs", len(s.Variants), strings.Join(axes, "×"), len(c.Jobs))
+}
+
+// WriteRegistry renders the registry as an aligned table — each
+// experiment's name, shape (Summarize), axes with their value ranges, and
+// description — the CLIs' -list output.
+func WriteRegistry(w io.Writer) error {
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprint(tw, "experiment\tshape\taxes\tdescription\t\n")
+	for _, s := range List() {
+		axes := make([]string, len(s.Axes))
+		for i, a := range s.Axes {
+			axes[i] = a.String()
+		}
+		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t\n",
+			s.Name, Summarize(s), strings.Join(axes, " "), s.Description)
+	}
+	return tw.Flush()
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"sgprs/internal/des"
@@ -76,4 +77,42 @@ func TestFastForwardLongHorizon(t *testing.T) {
 				c.name, want, got)
 		}
 	}
+}
+
+// TestFastForwardFreshSessionAllocFlat pins what a whole fast-forwarded run
+// allocates, slot storage included: the benches measure a session warmed by
+// an untimed run, so storage that grows with the skipped-cycle count would
+// not show there. Each horizon runs on a fresh Session over a warmed offline
+// cache, and the 600 s run must allocate within 10% of the 60 s one — before
+// the collector's run-length block, one 3600 s run allocated ~550 MB.
+func TestFastForwardFreshSessionAllocFlat(t *testing.T) {
+	cfg := RunConfig{
+		Kind: KindSGPRS, Name: "sgprs-1.5x", ContextSMs: ContextPool(3, 1.5, speedup.DeviceSMs),
+		NumTasks: 26, Seed: 1, GPU: eligibleGPU(1),
+	}
+	cache := memo.New()
+	if _, err := NewSession(cache).Run(cfg); err != nil {
+		t.Fatal(err) // warm the offline cache outside the measurement
+	}
+	alloc := func(horizonSec float64) (bytes, skipped uint64) {
+		c := cfg
+		c.HorizonSec = horizonSec
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := NewSession(cache).Run(c)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%vs: %v", horizonSec, err)
+		}
+		return after.TotalAlloc - before.TotalAlloc, res.FastForward.CyclesSkipped
+	}
+	short, shortSkipped := alloc(60)
+	long, longSkipped := alloc(600)
+	if longSkipped < 10*shortSkipped {
+		t.Fatalf("cycles skipped: %d at 60 s, %d at 600 s; the test needs the long run to extrapolate", shortSkipped, longSkipped)
+	}
+	if float64(long) > 1.1*float64(short) {
+		t.Errorf("a fresh 600 s run allocated %d B, a 60 s run %d B: allocation grows with the skipped-cycle count", long, short)
+	}
+	t.Logf("fresh-session allocation: %d B at 60 s (%d cycles skipped), %d B at 600 s (%d skipped)", short, shortSkipped, long, longSkipped)
 }

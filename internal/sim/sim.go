@@ -46,6 +46,19 @@ func (k Kind) String() string {
 	}
 }
 
+// ParseKind resolves the config-file and flag spelling of a scheduler kind,
+// the inverse of String.
+func ParseKind(s string) (Kind, error) {
+	switch s {
+	case "sgprs":
+		return KindSGPRS, nil
+	case "naive":
+		return KindNaive, nil
+	default:
+		return KindSGPRS, fmt.Errorf("sim: unknown scheduler kind %q (want sgprs or naive)", s)
+	}
+}
+
 // ReferenceLatencyMS is the calibrated full-device ResNet18 inference
 // latency. It pins simulated time to the scale implied by the paper's
 // saturation throughput (DESIGN.md §2).

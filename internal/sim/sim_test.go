@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sgprs/internal/memo"
@@ -282,6 +284,23 @@ func TestKindString(t *testing.T) {
 	}
 	if Kind(9).String() != "kind(9)" {
 		t.Error("unknown kind name wrong")
+	}
+}
+
+// TestParseKind pins ParseKind as String's inverse and its rejection of
+// anything else, with the bad spelling in the error.
+func TestParseKind(t *testing.T) {
+	for _, k := range []Kind{KindSGPRS, KindNaive} {
+		got, err := ParseKind(k.String())
+		if err != nil || got != k {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+	}
+	for _, s := range []string{"quantum", "", "SGPRS", " naive"} {
+		_, err := ParseKind(s)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", s)) {
+			t.Errorf("ParseKind(%q) error = %v; want one naming the input", s, err)
+		}
 	}
 }
 
